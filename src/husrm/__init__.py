@@ -1,19 +1,12 @@
 """High-utility sequential rule mining.
 
 Discovers all totally ordered sequential rules whose utility and
-confidence clear exact rational thresholds, using linked-table
+confidence clear exact rational thresholds, using utility-table
 projection, utility upper-bound pruning, and one-pass confidence-guided
 cut emission, with a brute-force reference miner for verification.
 """
 
-from .bounds import (
-    PositionRef,
-    prune_unpromising,
-    rru_at,
-    rru_sum_per_item,
-    ru_at,
-    seu_per_item,
-)
+from .bounds import prune_unpromising, seu_per_item
 from .dataio import (
     ParseError,
     dedup_max_utility,
@@ -38,6 +31,7 @@ from .miner import (
 )
 from .model import (
     Event,
+    InvariantError,
     ItemTable,
     Rule,
     Sequence,
@@ -50,18 +44,23 @@ from .model import (
 from .oracle import (
     MaxLenCapWarning,
     OracleConfig,
+    PositionRef,
     max_embedding_utility,
     oracle_mine,
+    rru_at,
+    rru_sum_per_item,
+    ru_at,
     support_of,
 )
 from .srt import SeqOccurrences, SequenceRecordTable, SrtRow, init_row, scan_extensions
-from .ult import UltHeader, UltNode, UtilityLinkedTable, build_ult, occurrences_of, scan_forward
+from .ult import UltHeader, UtilityLinkedTable, build_ult
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Event",
     "GenParams",
+    "InvariantError",
     "ItemTable",
     "MaxLenCapWarning",
     "MiningConfig",
@@ -77,7 +76,6 @@ __all__ = [
     "SrtRow",
     "Threshold",
     "UltHeader",
-    "UltNode",
     "UtilityLinkedTable",
     "VARIANTS",
     "build_database",
@@ -92,7 +90,6 @@ __all__ = [
     "load_database",
     "max_embedding_utility",
     "mine",
-    "occurrences_of",
     "oracle_mine",
     "parse_native",
     "parse_spmf",
@@ -102,7 +99,6 @@ __all__ = [
     "ru_at",
     "rule_produce",
     "scan_extensions",
-    "scan_forward",
     "seu_per_item",
     "srt_growth",
     "support_of",

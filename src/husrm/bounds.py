@@ -7,20 +7,11 @@ minutil. Per-position ru is the raw suffix utility sum. Per-position rru
 tightens ru by counting each distinct later item once, at its maximum
 utility within the suffix, and by ignoring later duplicates of the
 position's own item; on duplicate-free sequences the two coincide.
-Per-item rru sums (per-sequence maxima over the item's occurrences) seed
-the first row of a projection table.
+Both per-position bounds are computed here in one pass per sequence;
+their definitional forms live in the oracle module.
 """
 
-from typing import NamedTuple
-
 from .model import Event, Sequence, SequenceDatabase, Threshold, compare_at_least
-
-
-class PositionRef(NamedTuple):
-    """A 1-based position inside one sequence."""
-
-    sid: int
-    pos: int
 
 
 def seu_per_item(db: SequenceDatabase, *, distinct_max: bool = True) -> dict[int, int]:
@@ -68,30 +59,6 @@ def prune_unpromising(
     return SequenceDatabase(out, db.items)
 
 
-def ru_at(db: SequenceDatabase, ref: PositionRef) -> int:
-    """Raw remaining utility: suffix utility sum from the position inclusive."""
-    events = db.sequence_by_sid(ref.sid).events
-    return sum(ev.utility for ev in events[ref.pos - 1 :])
-
-
-def rru_at(db: SequenceDatabase, ref: PositionRef) -> int:
-    """Reduced remaining utility of one position, straight from its definition.
-
-    Own utility, plus one term per distinct later item at its maximum
-    utility among occurrences after the position. Later occurrences of
-    the position's own item contribute nothing.
-    """
-    events = db.sequence_by_sid(ref.sid).events
-    own = events[ref.pos - 1]
-    maxima: dict[int, int] = {}
-    for ev in events[ref.pos :]:
-        if ev.item == own.item:
-            continue
-        if ev.utility > maxima.get(ev.item, -1):
-            maxima[ev.item] = ev.utility
-    return own.utility + sum(maxima.values())
-
-
 def ru_values(events: tuple[Event, ...]) -> list[int]:
     """Suffix utility sums at every position of one sequence."""
     out = [0] * len(events)
@@ -121,20 +88,3 @@ def rru_values(events: tuple[Event, ...]) -> list[int]:
             running += ev.utility - prev
     return out
 
-
-def rru_sum_per_item(db: SequenceDatabase) -> dict[int, int]:
-    """Per item: sum over containing sequences of the sequence's maximum rru.
-
-    The per-sequence maximum over the item's occurrences mirrors the
-    max-occurrence utility semantics of patterns.
-    """
-    totals: dict[int, int] = {}
-    for seq in db.sequences:
-        values = rru_values(seq.events)
-        best: dict[int, int] = {}
-        for ev, value in zip(seq.events, values):
-            if value > best.get(ev.item, -1):
-                best[ev.item] = value
-        for item, value in best.items():
-            totals[item] = totals.get(item, 0) + value
-    return totals

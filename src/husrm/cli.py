@@ -24,7 +24,7 @@ from .dataio import (
 )
 from .datagen import GenParams, generate
 from .miner import VARIANTS, MiningConfig, mine, variant_config
-from .model import Threshold
+from .model import InvariantError, Threshold
 from .oracle import MaxLenCapWarning, OracleConfig, oracle_mine
 
 EXIT_OK = 0
@@ -285,24 +285,6 @@ def _cmd_bench(args) -> int:
             )
             return EXIT_INVARIANT
 
-    header = ("variant", "candidates", "srtgrowth_calls", "rrs_prunes", "rules", "median_ms")
-    table = [header]
-    for name in names:
-        _, stats, med = results[name]
-        table.append(
-            (
-                name,
-                str(stats.candidates),
-                str(stats.srt_growth_calls),
-                str(stats.rrs_prunes),
-                str(stats.rules),
-                f"{med:.1f}",
-            )
-        )
-    widths = [max(len(row[col]) for row in table) for col in range(len(header))]
-    for row in table:
-        print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)))
-    print()
     for name in names:
         _, stats, med = results[name]
         print(f"variant={name}")
@@ -385,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except AssertionError as exc:
+    except InvariantError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

@@ -2,7 +2,7 @@
 and confidence-guided cut emission.
 
 The pipeline is: optional duplicate removal, optional early item
-pruning, one linked-table build, then a depth-first walk over item
+pruning, one utility-table build, then a depth-first walk over item
 prefixes. Every path push emits all the rules that path can support in
 one pass: the path's support column is non-increasing, so a binary
 search finds the leftmost cut whose antecedent support clears the
@@ -58,9 +58,6 @@ class MiningConfig:
     use_rru: bool = True
     dedup: bool = False
     max_prefix_len: int | None = None
-    # The extension gate provably loses nothing at depth 1 either; on by
-    # default, switchable for A/B runs.
-    rrs_gate_at_top: bool = True
     seu_distinct_max: bool = True
     threads: int = 1
 
@@ -189,7 +186,7 @@ def _mine_from(
     srt = SequenceRecordTable()
     srt.push_row(init_row(ult, item))
     if cfg.max_prefix_len is None or cfg.max_prefix_len > 1:
-        if cfg.use_rrs_prune and cfg.rrs_gate_at_top:
+        if cfg.use_rrs_prune:
             cands, pruned = scan_extensions_gated(ult, srt, cfg.minutil)
             stats.rrs_prunes += pruned
         else:

@@ -16,6 +16,14 @@ from typing import Iterable
 U64_MAX = 2**64 - 1
 
 
+class InvariantError(RuntimeError):
+    """An internal invariant failed: a bug in the program, never bad input.
+
+    Raised by explicit checks rather than assert, so the checks also run
+    under python -O.
+    """
+
+
 class ItemTable:
     """Interning table mapping item tokens to dense ids and back.
 

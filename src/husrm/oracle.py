@@ -7,12 +7,18 @@ form rules, so they are skipped), pattern utilities come from an exact
 dynamic program over embeddings, and every qualifying cut of every
 pattern becomes a rule. This module exists to be obviously correct, not
 fast.
+
+The per-position bounds ru and rru and the per-item rru sum are also
+defined here, straight from their definitions, as the reference the
+miner's one-pass bound computations are checked against.
 """
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import (
+    InvariantError,
     Rule,
     Sequence,
     SequenceDatabase,
@@ -79,6 +85,55 @@ def support_of(db: SequenceDatabase, pattern: tuple[int, ...]) -> int:
     return count
 
 
+class PositionRef(NamedTuple):
+    """A 1-based position inside one sequence."""
+
+    sid: int
+    pos: int
+
+
+def ru_at(db: SequenceDatabase, ref: PositionRef) -> int:
+    """Raw remaining utility: suffix utility sum from the position inclusive."""
+    events = db.sequence_by_sid(ref.sid).events
+    return sum(ev.utility for ev in events[ref.pos - 1 :])
+
+
+def rru_at(db: SequenceDatabase, ref: PositionRef) -> int:
+    """Reduced remaining utility of one position, straight from its definition.
+
+    Own utility, plus one term per distinct later item at its maximum
+    utility among occurrences after the position. Later occurrences of
+    the position's own item contribute nothing.
+    """
+    events = db.sequence_by_sid(ref.sid).events
+    own = events[ref.pos - 1]
+    maxima: dict[int, int] = {}
+    for ev in events[ref.pos :]:
+        if ev.item == own.item:
+            continue
+        if ev.utility > maxima.get(ev.item, -1):
+            maxima[ev.item] = ev.utility
+    return own.utility + sum(maxima.values())
+
+
+def rru_sum_per_item(db: SequenceDatabase) -> dict[int, int]:
+    """Per item: sum over containing sequences of the sequence's maximum rru.
+
+    The per-sequence maximum over the item's occurrences mirrors the
+    max-occurrence utility semantics of patterns.
+    """
+    totals: dict[int, int] = {}
+    for seq in db.sequences:
+        best: dict[int, int] = {}
+        for pos, ev in enumerate(seq.events, 1):
+            value = rru_at(db, PositionRef(seq.sid, pos))
+            if value > best.get(ev.item, -1):
+                best[ev.item] = value
+        for item, value in best.items():
+            totals[item] = totals.get(item, 0) + value
+    return totals
+
+
 def oracle_mine(db: SequenceDatabase, cfg: OracleConfig) -> list[Rule]:
     """Every rule meeting both thresholds, definitionally, canonically sorted.
 
@@ -101,7 +156,8 @@ def oracle_mine(db: SequenceDatabase, cfg: OracleConfig) -> list[Rule]:
             util = 0
             for si, _ in proj:
                 u = max_embedding_utility(seqs[si], pattern)
-                assert u is not None
+                if u is None:
+                    raise InvariantError("projected sequence does not embed its pattern")
                 util += u
             if compare_at_least(util, cfg.minutil):
                 sup_r = len(proj)

@@ -19,18 +19,19 @@ extends at least the embedding ending there.
 The scan is the miner's hot path, so it runs in two phases: phase one
 aggregates support, until_utility, and rrs per candidate item into
 reusable epoch-stamped arrays without materializing anything; phase two
-rebuilds the per-sequence occurrence entries, through the table's
-item-position index, only for candidates that survive the caller's
-utility gate. Ungated callers simply materialize every candidate.
+rebuilds the per-sequence occurrence entries only for candidates that
+survive the caller's utility gate, reading each survivor's positions
+from the utility table's item-major index (item -> sid -> positions).
+Ungated callers simply materialize every candidate.
 
-One table belongs to one search path and is never shared; the linked
+One table belongs to one search path and is never shared; the utility
 table it reads is immutable.
 """
 
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .model import Threshold
+from .model import InvariantError, Threshold
 from .ult import UtilityLinkedTable
 
 
@@ -112,22 +113,23 @@ class SequenceRecordTable:
 
     def push_row(self, row: SrtRow) -> None:
         # Violations here are miner bugs, never data conditions.
-        assert row.item not in self.item_set, "duplicate item pushed onto path"
-        assert (
-            not self.rows or row.support <= self.rows[-1].support
-        ), "support monotonicity violated"
+        if row.item in self.item_set:
+            raise InvariantError("duplicate item pushed onto path")
+        if self.rows and row.support > self.rows[-1].support:
+            raise InvariantError("support monotonicity violated")
         self.rows.append(row)
         self.item_set.add(row.item)
 
     def pop_row(self) -> SrtRow:
-        assert self.rows, "pop from empty table"
+        if not self.rows:
+            raise InvariantError("pop from empty table")
         row = self.rows.pop()
         self.item_set.discard(row.item)
         return row
 
 
 def init_row(ult: UtilityLinkedTable, item: int) -> SrtRow:
-    """Length-1 row: every occurrence of the item, seeded from the header.
+    """Length-1 row: every occurrence of the item, from the table's item index.
 
     Each occurrence's best prefix utility is its own utility; the row
     bound is the header's rru sum.
@@ -135,30 +137,20 @@ def init_row(ult: UtilityLinkedTable, item: int) -> SrtRow:
     header = ult.header_for(item)
     if header is None:
         raise KeyError(f"item {item} has no header")
-    sids = ult.node_sid
-    poss = ult.node_pos
-    utils = ult.node_utility
-    nsi = ult.next_same_item
+    seq_utils = ult.seq_utils
     occurrences: list[SeqOccurrences] = []
     until = 0
-    cur: SeqOccurrences | None = None
-    cur_best = 0
-    idx: int | None = header.first_node
-    while idx is not None:
-        sid = sids[idx]
-        u = utils[idx]
-        if cur is None or cur.sid != sid:
-            if cur is not None:
-                until += cur_best
-            cur = SeqOccurrences(sid, [])
-            occurrences.append(cur)
-            cur_best = 0
-        cur.entries.append((poss[idx], u))
-        if u > cur_best:
-            cur_best = u
-        idx = nsi[idx]
-    if cur is not None:
-        until += cur_best
+    for sid, positions in ult.item_positions[item].items():
+        utils_s = seq_utils[sid]
+        entries = []
+        best = 0
+        for k in positions:
+            u = utils_s[k]
+            entries.append((k + 1, u))
+            if u > best:
+                best = u
+        until += best
+        occurrences.append(SeqOccurrences(sid, entries))
     return SrtRow(item, occurrences, len(occurrences), until, header.rru_sum)
 
 
@@ -255,19 +247,20 @@ def _scan(
     if gated:
         num = minutil.numerator
         den = minutil.denominator
-    item_positions = ult.seq_item_positions
+    item_positions = ult.item_positions
     for it in order:
         rrs = g_rrs[it]
         if gated and rrs * den < num:
             pruned += 1
             g_rows[it] = None
             continue
+        positions_by_sid = item_positions[it]
         occ_rows: list[SeqOccurrences] = []
         for occ in g_rows[it]:
             sid = occ.sid
             entries = occ.entries
             frontier = entries[0][0]
-            pos_idx = item_positions[sid][it]
+            pos_idx = positions_by_sid[sid]
             utils_s = seq_utils[sid]
             run = -1
             ei = 0

@@ -1,106 +1,61 @@
-"""The utility-linked table: a header table over a flat node array.
+"""The utility table: per-sequence columns plus one item-position index.
 
-Nodes are laid out sequence by sequence in one contiguous array, so a
-forward projection scan is a walk over consecutive indices and never
-touches the raw database again. next_in_sequence links nodes of one
-sequence in increasing position; next_same_item chains all occurrences
-of one item in (sid, pos) order, first within a sequence and then across
-sequences. Each node carries the utility bound used by extension scoring
-(rru, or plain ru when the table is built in ru mode). The table is
-immutable after build and safe to share across threads.
+Each event is stored once, in three per-sequence columns keyed by sid:
+seq_items, seq_utils and seq_rrus. seq_rrus holds the utility bound used
+by extension scoring at every position (rru, or plain ru when the table
+is built in ru mode). A forward projection scan is a walk over one
+sequence's column slices and never touches the raw database again.
 
-Storage is columnar, both flat and per sequence, because the extension
-scan is the hot path of the whole miner; UltNode is a per-index view for
-inspection and tests. seq_item_positions indexes each item's 0-based
-positions within each sequence so a scan can rematerialize occurrence
+item_positions[item] maps each sid containing the item to the item's
+0-based positions in that sequence, sids in database order. It seeds the
+first projection row of an item and lets a scan rematerialize occurrence
 details for the few extensions that survive gating without walking the
-sequence again.
+sequence again; it iterates in (sid, pos) order.
+
+Headers follow first appearance; each carries the item's seu and rru
+sum. The table is immutable after build and safe to share across
+threads.
 """
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .bounds import ru_values, rru_values, seu_per_item
 from .model import SequenceDatabase
 
 
 @dataclass(frozen=True, slots=True)
-class UltNode:
-    """Read-only view of one node of the table."""
-
-    sid: int
-    pos: int
-    item: int
-    utility: int
-    rru: int
-    next_in_sequence: int | None
-    next_same_item: int | None
-
-
-@dataclass(frozen=True, slots=True)
 class UltHeader:
-    """One header row: item, its seu, its summed per-sequence max rru, first node."""
+    """One header row: item, its seu, its summed per-sequence max rru."""
 
     item: int
     seu: int
     rru_sum: int
-    first_node: int
 
 
 class UtilityLinkedTable:
     __slots__ = (
         "headers",
         "n_item_ids",
-        "node_sid",
-        "node_pos",
-        "node_item",
-        "node_utility",
-        "node_rru",
-        "next_in_sequence",
-        "next_same_item",
-        "seq_start",
-        "seq_len",
+        "n_events",
         "seq_items",
         "seq_utils",
         "seq_rrus",
-        "seq_item_positions",
+        "item_positions",
         "_header_index",
     )
 
     def __init__(self) -> None:
         self.headers: list[UltHeader] = []
         self.n_item_ids = 0
-        self.node_sid: list[int] = []
-        self.node_pos: list[int] = []
-        self.node_item: list[int] = []
-        self.node_utility: list[int] = []
-        self.node_rru: list[int] = []
-        self.next_in_sequence: list[int | None] = []
-        self.next_same_item: list[int | None] = []
-        self.seq_start: dict[int, int] = {}
-        self.seq_len: dict[int, int] = {}
+        self.n_events = 0
         self.seq_items: dict[int, tuple[int, ...]] = {}
         self.seq_utils: dict[int, tuple[int, ...]] = {}
         self.seq_rrus: dict[int, tuple[int, ...]] = {}
-        self.seq_item_positions: dict[int, dict[int, list[int]]] = {}
+        self.item_positions: dict[int, dict[int, list[int]]] = {}
         self._header_index: dict[int, int] = {}
 
     def __len__(self) -> int:
-        return len(self.node_item)
-
-    def node(self, index: int) -> UltNode:
-        return UltNode(
-            self.node_sid[index],
-            self.node_pos[index],
-            self.node_item[index],
-            self.node_utility[index],
-            self.node_rru[index],
-            self.next_in_sequence[index],
-            self.next_same_item[index],
-        )
-
-    def node_index(self, sid: int, pos: int) -> int:
-        return self.seq_start[sid] + pos - 1
+        return self.n_events
 
     def header_for(self, item: int) -> UltHeader | None:
         idx = self._header_index.get(item)
@@ -108,83 +63,43 @@ class UtilityLinkedTable:
 
 
 def build_ult(db: SequenceDatabase, *, use_rru: bool = True) -> UtilityLinkedTable:
-    """Build the table in one forward scan plus per-item last-node bookkeeping.
+    """Build the table in one forward scan.
 
     The database should already have unpromising items removed when
     pruning is in effect. use_rru=False stores the raw suffix bound at
-    every node instead, which also switches the header sums to ru.
+    every position instead, which also switches the header sums to ru.
     """
     ult = UtilityLinkedTable()
     ult.n_item_ids = len(db.items)
-    last_of_item: dict[int, int] = {}
-    first_of_item: dict[int, int] = {}
-    order: list[int] = []
+    item_positions = ult.item_positions
+    rru_sum: dict[int, int] = {}
     for seq in db.sequences:
-        values = rru_values(seq.events) if use_rru else ru_values(seq.events)
-        base = len(ult.node_item)
-        ult.seq_start[seq.sid] = base
-        ult.seq_len[seq.sid] = len(seq.events)
-        positions: dict[int, list[int]] = {}
-        last = len(seq.events) - 1
-        for k, ev in enumerate(seq.events):
-            idx = base + k
-            ult.node_sid.append(seq.sid)
-            ult.node_pos.append(k + 1)
-            ult.node_item.append(ev.item)
-            ult.node_utility.append(ev.utility)
-            ult.node_rru.append(values[k])
-            ult.next_in_sequence.append(idx + 1 if k < last else None)
-            ult.next_same_item.append(None)
-            positions.setdefault(ev.item, []).append(k)
-            prev = last_of_item.get(ev.item)
-            if prev is None:
-                first_of_item[ev.item] = idx
-                order.append(ev.item)
+        sid = seq.sid
+        events = seq.events
+        values = rru_values(events) if use_rru else ru_values(events)
+        best: dict[int, int] = {}
+        for k, ev in enumerate(events):
+            item = ev.item
+            by_sid = item_positions.get(item)
+            if by_sid is None:
+                by_sid = item_positions[item] = {}
+            positions = by_sid.get(sid)
+            if positions is None:
+                by_sid[sid] = [k]
+                best[item] = values[k]
             else:
-                ult.next_same_item[prev] = idx
-            last_of_item[ev.item] = idx
-        ult.seq_items[seq.sid] = tuple(ev.item for ev in seq.events)
-        ult.seq_utils[seq.sid] = tuple(ev.utility for ev in seq.events)
-        ult.seq_rrus[seq.sid] = tuple(values)
-        ult.seq_item_positions[seq.sid] = positions
+                positions.append(k)
+                if values[k] > best[item]:
+                    best[item] = values[k]
+        for item, value in best.items():
+            rru_sum[item] = rru_sum.get(item, 0) + value
+        ult.seq_items[sid] = tuple(ev.item for ev in events)
+        ult.seq_utils[sid] = tuple(ev.utility for ev in events)
+        ult.seq_rrus[sid] = tuple(values)
+        ult.n_events += len(events)
 
     seu = seu_per_item(db)
-    for item in order:
-        total = 0
-        cur_sid = -1
-        cur_max = 0
-        idx: int | None = first_of_item[item]
-        while idx is not None:
-            sid = ult.node_sid[idx]
-            value = ult.node_rru[idx]
-            if sid != cur_sid:
-                if cur_sid != -1:
-                    total += cur_max
-                cur_sid = sid
-                cur_max = value
-            elif value > cur_max:
-                cur_max = value
-            idx = ult.next_same_item[idx]
-        total += cur_max
+    for item in item_positions:
         ult._header_index[item] = len(ult.headers)
-        ult.headers.append(UltHeader(item, seu.get(item, 0), total, first_of_item[item]))
+        ult.headers.append(UltHeader(item, seu.get(item, 0), rru_sum[item]))
     return ult
-
-
-def scan_forward(ult: UtilityLinkedTable, index: int) -> Iterator[UltNode]:
-    """Yield the nodes after the given node within its sequence, in position order."""
-    idx = ult.next_in_sequence[index]
-    while idx is not None:
-        yield ult.node(idx)
-        idx = ult.next_in_sequence[idx]
-
-
-def occurrences_of(ult: UtilityLinkedTable, item: int) -> Iterator[UltNode]:
-    """Yield every occurrence of an item in (sid, pos) order; unknown items yield nothing."""
-    header = ult.header_for(item)
-    if header is None:
-        return
-    idx: int | None = header.first_node
-    while idx is not None:
-        yield ult.node(idx)
-        idx = ult.next_same_item[idx]

@@ -8,11 +8,17 @@ from fractions import Fraction
 import pytest
 
 from husrm import cli
-from husrm.bounds import PositionRef, rru_at, ru_at
 from husrm.datagen import GenParams, generate
 from husrm.miner import MiningConfig, mine, variant_config
 from husrm.model import build_database
-from husrm.oracle import OracleConfig, max_embedding_utility, oracle_mine
+from husrm.oracle import (
+    OracleConfig,
+    PositionRef,
+    max_embedding_utility,
+    oracle_mine,
+    rru_at,
+    ru_at,
+)
 from husrm.srt import SequenceRecordTable, init_row, scan_extensions
 from husrm.ult import build_ult
 

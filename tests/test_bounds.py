@@ -2,17 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from husrm.bounds import (
-    PositionRef,
-    prune_unpromising,
-    rru_at,
-    rru_sum_per_item,
-    rru_values,
-    ru_at,
-    ru_values,
-    seu_per_item,
-)
+from husrm.bounds import prune_unpromising, rru_values, ru_values, seu_per_item
 from husrm.model import Threshold, build_database
+from husrm.oracle import PositionRef, rru_at, rru_sum_per_item, ru_at
 
 from conftest import make_random_db
 

@@ -2,6 +2,7 @@ import pytest
 
 from husrm import cli
 from husrm.miner import mine as real_mine
+from husrm.model import InvariantError
 
 from conftest import SAMPLE_NATIVE
 
@@ -141,6 +142,15 @@ def test_verify_detects_a_corrupted_miner(sample_path, capsys, monkeypatch):
     assert code == 1
     assert "only oracle:" in out.out
     assert "MISMATCH" in out.err
+
+
+def test_invariant_failure_exits_1(sample_path, capsys, monkeypatch):
+    def failing_mine(db, cfg):
+        raise InvariantError("duplicate item pushed onto path")
+
+    monkeypatch.setattr(cli, "mine", failing_mine)
+    assert cli.main(["mine", sample_path, "--delta", "0.1"]) == 1
+    assert "internal invariant failure" in capsys.readouterr().err
 
 
 def test_verify_generated_database(tmp_path, capsys):

@@ -161,13 +161,6 @@ def test_disabling_gate_keeps_rules_and_grows_candidates(sample_db):
     assert stats_ungated.rrs_prunes == 0
 
 
-def test_top_level_gate_flag_changes_nothing_but_counters(sample_db):
-    rules_a, stats_a = mine_sample(sample_db)
-    rules_b, stats_b = mine_sample(sample_db, rrs_gate_at_top=False)
-    assert [r.key() for r in rules_a] == [r.key() for r in rules_b]
-    assert stats_a.candidates <= stats_b.candidates
-
-
 def test_seu_form_flag_changes_nothing_on_rules(sample_db):
     rules_a, _ = mine_sample(sample_db)
     rules_b, _ = mine_sample(sample_db, seu_distinct_max=False)

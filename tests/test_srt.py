@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from husrm.model import Threshold, build_database
+import husrm
+from husrm.model import InvariantError, Threshold, build_database
 from husrm.oracle import max_embedding_utility, support_of
 from husrm.srt import (
     SeqOccurrences,
@@ -129,15 +135,44 @@ def test_push_pop_stack_discipline(small_db):
 def test_push_rejects_duplicates_and_rising_support():
     srt = SequenceRecordTable()
     srt.push_row(SrtRow(1, [SeqOccurrences(1, [(1, 5)])], 1, 5, 5))
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantError):
         srt.push_row(SrtRow(1, [SeqOccurrences(1, [(2, 5)])], 1, 5, 5))
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantError):
         srt.push_row(SrtRow(2, [SeqOccurrences(1, [(2, 5)])], 2, 5, 5))
 
 
 def test_pop_empty_table_is_a_bug():
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantError):
         SequenceRecordTable().pop_row()
+
+
+DUPLICATE_PUSH = """
+from husrm.model import InvariantError
+from husrm.srt import SeqOccurrences, SequenceRecordTable, SrtRow
+
+if __debug__:
+    raise SystemExit("expected to run under python -O")
+srt = SequenceRecordTable()
+srt.push_row(SrtRow(1, [SeqOccurrences(1, [(1, 5)])], 1, 5, 5))
+try:
+    srt.push_row(SrtRow(1, [SeqOccurrences(1, [(2, 5)])], 1, 5, 5))
+except InvariantError:
+    raise SystemExit(0)
+raise SystemExit("duplicate push went unchecked")
+"""
+
+
+def test_push_checks_survive_optimized_mode():
+    src = str(Path(husrm.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", DUPLICATE_PUSH],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_gated_scan_matches_ungated(sample_db):

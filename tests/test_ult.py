@@ -1,86 +1,63 @@
 import pytest
 
-from husrm.bounds import PositionRef, rru_at, rru_sum_per_item, ru_at
 from husrm.model import build_database
-from husrm.ult import build_ult, occurrences_of, scan_forward
+from husrm.oracle import PositionRef, rru_at, rru_sum_per_item, ru_at
+from husrm.ult import build_ult
 
 from conftest import make_random_db
 
 
-def test_links_small_scope(small_db):
-    ult = build_ult(small_db)
-    a = small_db.items.id_of("a")
-    c = small_db.items.id_of("c")
-    n_a1 = ult.node(ult.node_index(1, 1))
-    assert (n_a1.sid, n_a1.pos, n_a1.item) == (1, 1, a)
-    follow = ult.node(n_a1.next_in_sequence)
-    assert (follow.sid, follow.pos, follow.item) == (1, 2, c)
-    # same-item chain hops from (s1, c@2) to (s1, c@3)
-    n_c2 = ult.node(ult.node_index(1, 2))
-    n_c3 = ult.node(n_c2.next_same_item)
-    assert (n_c3.sid, n_c3.pos) == (1, 3)
+def index_refs(ult, item):
+    """The item's (sid, 1-based pos) pairs, in index iteration order."""
+    by_sid = ult.item_positions.get(item, {})
+    return [(sid, k + 1) for sid, positions in by_sid.items() for k in positions]
 
 
 def test_single_node_database():
     db = build_database([[("x", 7)]])
     ult = build_ult(db)
+    x = db.items.id_of("x")
+    sid = db.sequences[0].sid
     assert len(ult) == 1
-    node = ult.node(0)
-    assert node.next_in_sequence is None
-    assert node.next_same_item is None
-    assert node.utility == node.rru == 7
+    assert ult.seq_items == {sid: (x,)}
+    assert ult.seq_utils == {sid: (7,)}
+    assert ult.seq_rrus == {sid: (7,)}
+    assert ult.item_positions == {x: {sid: [0]}}
+    (header,) = ult.headers
+    assert (header.item, header.seu, header.rru_sum) == (x, 7, 7)
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_every_node_rru_matches_recomputation(seed):
     db = make_random_db(seed)
     ult = build_ult(db)
-    for idx in range(len(ult)):
-        node = ult.node(idx)
-        assert node.rru == rru_at(db, PositionRef(node.sid, node.pos))
+    for seq in db.sequences:
+        assert ult.seq_items[seq.sid] == tuple(ev.item for ev in seq.events)
+        assert ult.seq_utils[seq.sid] == tuple(ev.utility for ev in seq.events)
+        assert ult.seq_rrus[seq.sid] == tuple(
+            rru_at(db, PositionRef(seq.sid, pos)) for pos in range(1, len(seq.events) + 1)
+        )
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_ru_mode_stores_suffix_sums(seed):
     db = make_random_db(seed)
     ult = build_ult(db, use_rru=False)
-    for idx in range(len(ult)):
-        node = ult.node(idx)
-        assert node.rru == ru_at(db, PositionRef(node.sid, node.pos))
-
-
-def test_scan_forward_small_scope(small_db):
-    ult = build_ult(small_db)
-    nodes = list(scan_forward(ult, ult.node_index(1, 1)))
-    assert [(n.sid, n.pos) for n in nodes] == [(1, 2), (1, 3)]
-    assert list(scan_forward(ult, ult.node_index(1, 3))) == []
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_scan_forward_utilities_reproduce_ru(seed):
-    db = make_random_db(seed)
-    ult = build_ult(db)
     for seq in db.sequences:
-        for pos in range(1, len(seq.events) + 1):
-            start = ult.node_index(seq.sid, pos)
-            total = ult.node(start).utility + sum(
-                n.utility for n in scan_forward(ult, start)
-            )
-            assert total == ru_at(db, PositionRef(seq.sid, pos))
+        assert ult.seq_rrus[seq.sid] == tuple(
+            ru_at(db, PositionRef(seq.sid, pos)) for pos in range(1, len(seq.events) + 1)
+        )
 
 
 def test_occurrences_small_scope(small_db):
     ult = build_ult(small_db)
     c = small_db.items.id_of("c")
-    assert [(n.sid, n.pos) for n in occurrences_of(ult, c)] == [
-        (1, 2),
-        (1, 3),
-        (2, 2),
-        (3, 2),
-    ]
+    assert ult.item_positions[c] == {1: [1, 2], 2: [1], 3: [1]}
+    assert index_refs(ult, c) == [(1, 2), (1, 3), (2, 2), (3, 2)]
     f = small_db.items.id_of("f")
-    assert [(n.sid, n.pos) for n in occurrences_of(ult, f)] == [(3, 3)]
-    assert list(occurrences_of(ult, 999)) == []
+    assert index_refs(ult, f) == [(3, 3)]
+    assert 999 not in ult.item_positions
+    assert ult.header_for(999) is None
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -89,16 +66,16 @@ def test_occurrence_chains_partition_all_nodes(seed):
     ult = build_ult(db)
     seen = []
     for header in ult.headers:
-        chain = [(n.sid, n.pos) for n in occurrences_of(ult, header.item)]
-        # chain order matches a naive positional scan
+        refs = index_refs(ult, header.item)
+        # index order matches a naive positional scan
         naive = [
             (seq.sid, k + 1)
             for seq in db.sequences
             for k, ev in enumerate(seq.events)
             if ev.item == header.item
         ]
-        assert chain == naive
-        seen.extend(chain)
+        assert refs == naive
+        seen.extend(refs)
     assert sorted(seen) == sorted(
         (seq.sid, k + 1) for seq in db.sequences for k in range(len(seq.events))
     )
@@ -109,6 +86,7 @@ def test_counts_and_header_order(sample_db):
     ult = build_ult(sample_db)
     assert len(ult) == sum(len(seq.events) for seq in sample_db.sequences)
     assert [h.item for h in ult.headers] == sample_db.distinct_items()
+    assert list(ult.item_positions) == sample_db.distinct_items()
 
 
 @pytest.mark.parametrize("seed", range(30))
