@@ -92,7 +92,6 @@ def _cmd_mine(args) -> int:
         use_rrs_prune=not args.no_rrs_prune,
         use_rru=not args.use_ru,
         dedup=args.dedup,
-        threads=args.threads,
     )
     _echo_config(
         {
@@ -106,7 +105,6 @@ def _cmd_mine(args) -> int:
             "rrs_prune": cfg.use_rrs_prune,
             "use_rru": cfg.use_rru,
             "sort": args.sort,
-            "threads": cfg.threads,
             "out": args.out or "-",
             "stats": args.stats or "-",
         }
@@ -289,7 +287,7 @@ def _cmd_bench(args) -> int:
         _, stats, med = results[name]
         print(f"variant={name}")
         print(f"candidates={stats.candidates}")
-        print(f"srtgrowth_calls={stats.srt_growth_calls}")
+        print(f"srtgrowth_calls={stats.candidates}")
         print(f"rrs_prunes={stats.rrs_prunes}")
         print(f"rules={stats.rules}")
         print(f"median_runtime_ms={med:.1f}")
@@ -312,7 +310,6 @@ def build_parser() -> ArgumentParser:
     p.add_argument("--no-rrs-prune", action="store_true", help="disable the extension-bound gate")
     p.add_argument("--use-ru", action="store_true", help="use the raw suffix bound instead of the reduced one")
     p.add_argument("--sort", action="store_true", help="sort output by utility desc, then lexicographically")
-    p.add_argument("--threads", type=int, default=1, help="partition top-level items across N workers")
     p.add_argument("--out", help="rule output path (default stdout)")
     p.add_argument("--stats", help="statistics output path (default stderr)")
     p.set_defaults(func=_cmd_mine)

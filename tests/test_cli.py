@@ -4,7 +4,7 @@ from husrm import cli
 from husrm.miner import mine as real_mine
 from husrm.model import InvariantError
 
-from conftest import SAMPLE_NATIVE
+from conftest import SAMPLE_NATIVE, deep_path_rows
 
 
 @pytest.fixture
@@ -26,6 +26,7 @@ def test_mine_sample(sample_path, capsys):
         "e ==> b #UTIL: 14 #SUP: 1 #CONF: 1.0000",
     ]
     assert "[config] minutil=64/10" in out.err
+    assert "[config] threads=" not in out.err
     assert "rules=4" in out.err
 
 
@@ -106,17 +107,23 @@ def test_mine_is_deterministic_across_runs(sample_path, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_threads_flag_is_byte_identical(sample_path, tmp_path):
-    out1 = tmp_path / "t1.txt"
-    out4 = tmp_path / "t4.txt"
-    assert cli.main(["mine", sample_path, "--delta", "0.1", "--out", str(out1)]) == 0
-    assert (
-        cli.main(
-            ["mine", sample_path, "--delta", "0.1", "--threads", "4", "--out", str(out4)]
-        )
-        == 0
+def test_threads_flag_is_rejected(sample_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["mine", sample_path, "--delta", "0.1", "--threads", "2"])
+    assert exc.value.code == 2
+
+
+
+def test_mine_deep_path_exits_0(tmp_path):
+    path = tmp_path / "deep.usdb"
+    lines = [" ".join(f"{item}:{u}" for item, u in row) for row in deep_path_rows(1100)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "rules.txt"
+    code = cli.main(
+        ["mine", str(path), "--minutil", "2200", "--out", str(out), "--stats", str(tmp_path / "s")]
     )
-    assert out1.read_bytes() == out4.read_bytes()
+    assert code == 0
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 1099
 
 
 def test_oracle_subcommand(sample_path, capsys):

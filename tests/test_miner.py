@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from husrm.miner import (
     MiningConfig,
-    MiningStats,
     find_cut_start,
     mine,
     rule_produce,
@@ -14,7 +13,7 @@ from husrm.model import Threshold, build_database, confidence_at_least
 from husrm.oracle import OracleConfig, oracle_mine
 from husrm.srt import SeqOccurrences, SequenceRecordTable, SrtRow
 
-from conftest import canon, make_random_db, thr
+from conftest import canon, deep_path_rows, make_random_db, thr
 
 
 def mine_sample(sample_db, minconf="0.6", **cfg_kwargs):
@@ -34,7 +33,7 @@ def test_sample_rule_set(sample_db):
         ((e,), (b,), 14, 1, 1),
     ]
     assert stats.rules == 4
-    assert stats.candidates == stats.srt_growth_calls == 15
+    assert stats.candidates == 15
     assert stats.rrs_prunes == 1
     assert stats.sequences == 5
     assert stats.distinct_items == 6
@@ -133,24 +132,14 @@ def test_rule_produce_small_scope_examples(small_db):
     cfg = MiningConfig(Threshold(64, 10), Threshold(6, 10))
     srt = SequenceRecordTable()
     srt.push_row(init_row(ult, items.id_of("a")))
-    row_c = next(r for it, _, r in scan_extensions(ult, srt) if it == items.id_of("c"))
+    row_c = next(r for r in scan_extensions(ult, srt) if r.item == items.id_of("c"))
     srt.push_row(row_c)
     got = []
     assert rule_produce(srt, cfg, got.append) == 1
     assert got[0].key() == ((items.id_of("a"),), (items.id_of("c"),), 8, 2, 2)
-    row_f = next(r for it, _, r in scan_extensions(ult, srt) if it == items.id_of("f"))
+    row_f = next(r for r in scan_extensions(ult, srt) if r.item == items.id_of("f"))
     srt.push_row(row_f)
     assert rule_produce(srt, cfg, got.append) == 0
-
-
-def test_max_prefix_len_caps_depth_but_still_emits(sample_db):
-    rules_all, _ = mine_sample(sample_db)
-    rules_capped, _ = mine_sample(sample_db, max_prefix_len=2)
-    assert canon(rules_capped) == {
-        r.key() for r in rules_all if len(r.antecedent) + len(r.consequent) == 2
-    }
-    rules_3, _ = mine_sample(sample_db, max_prefix_len=3)
-    assert canon(rules_3) == canon(rules_all)
 
 
 def test_disabling_gate_keeps_rules_and_grows_candidates(sample_db):
@@ -185,15 +174,20 @@ def test_dedup_flag_mines_the_deduped_database(sample_db):
     assert canon(rules) == canon(expected)
 
 
-def test_threads_produce_identical_ordered_output(sample_db):
-    rules_1, stats_1 = mine_sample(sample_db, threads=1)
-    rules_4, stats_4 = mine_sample(sample_db, threads=4)
-    assert [r.key() for r in rules_1] == [r.key() for r in rules_4]
-    assert (stats_1.candidates, stats_1.srt_growth_calls, stats_1.rrs_prunes) == (
-        stats_4.candidates,
-        stats_4.srt_growth_calls,
-        stats_4.rrs_prunes,
-    )
+def test_threads_other_than_one_is_rejected():
+    for threads in (0, 2, 4):
+        with pytest.raises(ValueError):
+            MiningConfig(Threshold(1, 1), Threshold(6, 10), threads=threads)
+
+
+def test_deep_path_does_not_hit_the_recursion_limit():
+    db = build_database(deep_path_rows(1100))
+    assert db.total_utility == 2200
+    rules, stats = mine(db, MiningConfig(Threshold(2200, 1), thr("0.6")))
+    assert len(rules) == stats.rules == 1099
+    full = tuple(range(1100))
+    assert [r.antecedent + r.consequent for r in rules] == [full] * 1099
+    assert [len(r.antecedent) for r in rules] == list(range(1, 1100))
 
 
 def test_empty_database():
@@ -223,12 +217,6 @@ def test_no_rule_is_emitted_twice(seed):
 
 def test_stats_counters_are_deterministic(sample_db):
     runs = [mine_sample(sample_db)[1] for _ in range(3)]
-    snap = lambda s: (s.candidates, s.srt_growth_calls, s.rrs_prunes, s.rules)
+    snap = lambda s: (s.candidates, s.rrs_prunes, s.rules)
     assert len({snap(s) for s in runs}) == 1
 
-
-def test_add_counters():
-    a = MiningStats(candidates=2, srt_growth_calls=2, rrs_prunes=1)
-    b = MiningStats(candidates=3, srt_growth_calls=3, rrs_prunes=0)
-    a.add_counters(b)
-    assert (a.candidates, a.srt_growth_calls, a.rrs_prunes) == (5, 5, 1)

@@ -25,10 +25,10 @@ def rows_view(row):
     return [(occ.sid, occ.entries) for occ in row.occurrences]
 
 
-def find_candidate(cands, item):
-    for it, rrs, row in cands:
-        if it == item:
-            return rrs, row
+def find_candidate(rows, item):
+    for row in rows:
+        if row.item == item:
+            return row.rrs, row
     raise AssertionError(f"candidate {item} not found")
 
 
@@ -114,7 +114,7 @@ def test_growth_rows_small_scope(small_db):
     assert row_f.support == 1
     assert rows_view(row_f) == [(3, [(3, 14)])]
     srt.push_row(row_f)
-    assert srt.supports() == [2, 2, 1]
+    assert [r.support for r in srt.rows] == [2, 2, 1]
     assert [r.until_utility for r in srt.rows] == [3, 8, 14]
     assert [r.rrs for r in srt.rows] == [18, 18, 14]
 
@@ -182,8 +182,8 @@ def test_gated_scan_matches_ungated(sample_db):
     every = scan_extensions(ult, srt)
     gated, pruned = scan_extensions_gated(ult, srt, Threshold(64, 10))
     assert pruned == 1  # the low-bound extension by a (rrs 6 < 6.4)
-    kept = [(it, rrs) for it, rrs, _ in gated]
-    assert kept == [(it, rrs) for it, rrs, _ in every if rrs * 10 >= 64]
+    kept = [(r.item, r.rrs) for r in gated]
+    assert kept == [(r.item, r.rrs) for r in every if r.rrs * 10 >= 64]
 
 
 def walk_all_prefixes(db, max_len=6):
@@ -192,11 +192,11 @@ def walk_all_prefixes(db, max_len=6):
     out = []
 
     def grow(srt, prefix):
-        for item, rrs, row in scan_extensions(ult, srt):
+        for row in scan_extensions(ult, srt):
             srt.push_row(row)
-            out.append((prefix + (item,), row))
+            out.append((prefix + (row.item,), row))
             if len(srt) < max_len:
-                grow(srt, prefix + (item,))
+                grow(srt, prefix + (row.item,))
             srt.pop_row()
 
     for header in ult.headers:
@@ -230,7 +230,7 @@ def test_frontier_scanning_finds_exactly_the_extensions(seed):
     present = set(db.distinct_items())
 
     def check(srt, prefix):
-        found = {item for item, _, _ in scan_extensions(ult, srt)}
+        found = {row.item for row in scan_extensions(ult, srt)}
         expected = {
             item
             for item in present
@@ -241,10 +241,10 @@ def test_frontier_scanning_finds_exactly_the_extensions(seed):
             )
         }
         assert found == expected, prefix
-        for item, _, row in scan_extensions(ult, srt):
+        for row in scan_extensions(ult, srt):
             srt.push_row(row)
             if len(srt) < 5:
-                check(srt, prefix + (item,))
+                check(srt, prefix + (row.item,))
             srt.pop_row()
 
     for header in ult.headers:

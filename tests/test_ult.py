@@ -1,5 +1,6 @@
 import pytest
 
+from husrm.bounds import seu_per_item
 from husrm.model import build_database
 from husrm.oracle import PositionRef, rru_at, rru_sum_per_item, ru_at
 from husrm.ult import build_ult
@@ -24,7 +25,7 @@ def test_single_node_database():
     assert ult.seq_rrus == {sid: (7,)}
     assert ult.item_positions == {x: {sid: [0]}}
     (header,) = ult.headers
-    assert (header.item, header.seu, header.rru_sum) == (x, 7, 7)
+    assert (header.item, header.rru_sum) == (x, 7)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -103,6 +104,7 @@ def test_header_bound_ordering(seed):
     # seu >= rru_sum >= the item's largest single-occurrence utility
     db = make_random_db(seed)
     ult = build_ult(db)
+    seu = seu_per_item(db)
     for header in ult.headers:
         best_single = max(
             ev.utility
@@ -110,4 +112,4 @@ def test_header_bound_ordering(seed):
             for ev in seq.events
             if ev.item == header.item
         )
-        assert header.seu >= header.rru_sum >= best_single
+        assert seu[header.item] >= header.rru_sum >= best_single
