@@ -9,6 +9,13 @@ utility within the suffix, and by ignoring later duplicates of the
 position's own item; on duplicate-free sequences the two coincide.
 Both per-position bounds are computed here in one pass per sequence;
 their definitional forms live in the oracle module.
+
+The successor table (EUCP, from FHM and HUSRM) blocks extensions by
+item pairs: eu(x, y) sums the per-sequence distinct-max utility over the
+sequences in which some x occurs before some y. A path's utility is at
+most eu(p, y) for every item p before y on it, so an item y with
+eu(p, y) < minutil for some path item p heads no subtree that emits a
+rule.
 """
 
 from .model import Event, Sequence, SequenceDatabase, Threshold, compare_at_least
@@ -88,3 +95,43 @@ def rru_values(events: tuple[Event, ...]) -> list[int]:
             running += ev.utility - prev
     return out
 
+
+def successor_sets(ult, minutil: Threshold) -> dict[int, frozenset[int]]:
+    """EUCP successor table of a utility table: y in out[x] iff eu(x, y) >= minutil.
+
+    out[x] never holds x itself. At minutil 0 it holds exactly the items
+    that occur after some x in some sequence, so it blocks nothing. The
+    table is built one antecedent item at a time from the table's item
+    index, so only the surviving pairs are ever held at once.
+    """
+    num, den = minutil.numerator, minutil.denominator
+    seq_items = ult.seq_items
+    seq_utils = ult.seq_utils
+    # The distinct-max utility (the seu term) of every sequence; only a
+    # sequence that repeats an item needs a set to count a suffix's items
+    # once.
+    terms: dict[int, int] = {}
+    repeats: set[int] = set()
+    for sid, items_s in seq_items.items():
+        utils_s = seq_utils[sid]
+        if len(set(items_s)) == len(items_s):
+            terms[sid] = sum(utils_s)
+        else:
+            maxima: dict[int, int] = {}
+            for it, u in zip(items_s, utils_s):
+                if u > maxima.get(it, -1):
+                    maxima[it] = u
+            terms[sid] = sum(maxima.values())
+            repeats.add(sid)
+    out: dict[int, frozenset[int]] = {}
+    for x, positions_by_sid in ult.item_positions.items():
+        eu: dict[int, int] = {}
+        get = eu.get
+        for sid, positions in positions_by_sid.items():
+            term = terms[sid]
+            after = seq_items[sid][positions[0] + 1 :]
+            for y in set(after) if sid in repeats else after:
+                eu[y] = get(y, 0) + term
+        eu.pop(x, None)
+        out[x] = frozenset([y for y, value in eu.items() if value * den >= num])
+    return out

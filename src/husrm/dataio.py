@@ -8,6 +8,9 @@ comment lines. The SPMF-style encoding puts one sequence per line as
 recomputed. Itemsets holding more than one item are rejected: events
 never happen simultaneously in this model.
 
+Files are read as UTF-8; a leading byte order mark is dropped, and bytes
+that are not UTF-8 are a parse error on the line that holds them.
+
 Rule and statistics line formats are byte-exact contracts; golden tests
 pin them.
 """
@@ -34,6 +37,13 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}")
         self.line = line
         self.message = message
+
+
+def _long_digits_value(digits: str) -> int:
+    """Value of a digit string longer than int() converts; U64_MAX + 1 if
+    it exceeds 64 bits. Only zero padding can leave such a string in range."""
+    digits = digits.lstrip("0")
+    return int(digits or "0") if len(digits) <= 20 else U64_MAX + 1
 
 
 def _lines(stream: str | IO[str]) -> Iterable[str]:
@@ -65,7 +75,10 @@ def parse_native(stream: str | IO[str]) -> SequenceDatabase:
                 if utext.startswith("-") and utext[1:].isdigit():
                     raise ParseError(lineno, f"negative utility in token {tok!r}")
                 raise ParseError(lineno, f"non-integer utility in token {tok!r}")
-            utility = int(utext)
+            try:
+                utility = int(utext)
+            except ValueError:
+                utility = _long_digits_value(utext)
             if utility > U64_MAX:
                 raise ParseError(lineno, f"utility out of 64-bit range in token {tok!r}")
             events.append(Event(table.intern(label), utility))
@@ -73,8 +86,8 @@ def parse_native(stream: str | IO[str]) -> SequenceDatabase:
     return SequenceDatabase(seqs, table)
 
 
-_SPMF_EVENT = re.compile(r"^(.+)\[(\d+)\]$")
-_SPMF_TRAILER = re.compile(r"^SUtility:\d+$")
+_SPMF_EVENT = re.compile(r"^(.+)\[([0-9]+)\]$")
+_SPMF_TRAILER = re.compile(r"^SUtility:[0-9]+$")
 
 
 def parse_spmf(stream: str | IO[str]) -> SequenceDatabase:
@@ -113,7 +126,10 @@ def parse_spmf(stream: str | IO[str]) -> SequenceDatabase:
                     raise ParseError(
                         lineno, f"malformed token {tok!r}: expected item[utility]"
                     )
-                utility = int(m.group(2))
+                try:
+                    utility = int(m.group(2))
+                except ValueError:
+                    utility = _long_digits_value(m.group(2))
                 if utility > U64_MAX:
                     raise ParseError(
                         lineno, f"utility out of 64-bit range in token {tok!r}"
@@ -145,8 +161,21 @@ def load_database(path: str | Path, fmt: str = "auto") -> SequenceDatabase:
             )
     if fmt not in ("native", "spmf"):
         raise ValueError(f"unknown format {fmt!r}")
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_native(handle) if fmt == "native" else parse_spmf(handle)
+    try:
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            return parse_native(handle) if fmt == "native" else parse_spmf(handle)
+    except UnicodeDecodeError:
+        raise ParseError(_first_bad_line(path.read_bytes()), "not valid UTF-8") from None
+
+
+def _first_bad_line(raw: bytes) -> int:
+    """1-based line of the first byte that is not UTF-8 (the decoder that
+    failed saw only one chunk of the file, so its offset is not usable)."""
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return raw.count(b"\n", 0, exc.start) + 1
+    return 1
 
 
 def write_native(db: SequenceDatabase, stream: TextIO) -> None:

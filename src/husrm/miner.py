@@ -187,7 +187,7 @@ def mine(db: SequenceDatabase, cfg: MiningConfig) -> tuple[list[Rule], MiningSta
     if cfg.use_seu_prune:
         work = prune_unpromising(work, cfg.minutil, distinct_max=cfg.seu_distinct_max)
     stats.items_after_pruning = len(work.distinct_items())
-    ult = build_ult(work, use_rru=cfg.use_rru)
+    ult = build_ult(work, use_rru=cfg.use_rru, minutil=cfg.minutil)
     rules: list[Rule] = []
     sink = rules.append
     srt = SequenceRecordTable()

@@ -29,8 +29,9 @@ from one top-level item to the next; the utility table it reads is
 immutable.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 
 from .model import InvariantError, Threshold
 from .ult import UtilityLinkedTable
@@ -38,15 +39,19 @@ from .ult import UtilityLinkedTable
 
 @dataclass(slots=True)
 class SeqOccurrences:
-    """End positions of the current prefix within one sequence.
+    """End positions of the current prefix within one sequence, and its view.
 
     entries is ascending in position; each entry pairs a 1-based end
     position with the best prefix utility over embeddings ending exactly
-    there.
+    there. view lists, ascending, the 0-based positions after the first
+    end whose item is in the path's candidate set: the only positions a
+    scan of this occurrence visits. An empty view is the shared empty
+    tuple, so the many occurrences that cannot extend allocate nothing.
     """
 
     sid: int
     entries: list[tuple[int, int]]
+    view: list[int] | tuple[()]
 
 
 @dataclass(slots=True)
@@ -59,38 +64,34 @@ class SrtRow:
 
 
 class _ScanScratch:
-    """Reusable per-path buffers, epoch-stamped so they never need clearing."""
+    """Reusable per-item buffers, stamped so they never need clearing.
+
+    seq_stamp counts the occurrence sequences scanned so far; seq_ep[it]
+    is the stamp of the last sequence in which item it was seen.
+    """
 
     __slots__ = (
         "size",
-        "scan_stamp",
         "seq_stamp",
-        "glob_ep",
         "seq_ep",
+        "first",
         "sup",
         "until",
         "rrs",
-        "rows_by_item",
         "seq_best",
         "seq_bound",
-        "order",
-        "seq_touched",
     )
 
     def __init__(self, size: int) -> None:
         self.size = size
-        self.scan_stamp = 0
         self.seq_stamp = 0
-        self.glob_ep = [0] * size
         self.seq_ep = [0] * size
+        self.first = [0] * size
         self.sup = [0] * size
         self.until = [0] * size
         self.rrs = [0] * size
-        self.rows_by_item: list = [None] * size
         self.seq_best = [0] * size
         self.seq_bound = [0] * size
-        self.order: list[int] = []
-        self.seq_touched: list[int] = []
 
 
 class SequenceRecordTable:
@@ -126,13 +127,16 @@ class SequenceRecordTable:
 def init_row(ult: UtilityLinkedTable, item: int) -> SrtRow:
     """Length-1 row: every occurrence of the item, from the table's item index.
 
-    Each occurrence's best prefix utility is its own utility; the row
-    bound is the header's rru sum.
+    Each occurrence's best prefix utility is its own utility and its view
+    keeps the later positions whose item is a successor of this one; the
+    row bound is the header's rru sum.
     """
     header = ult.header_for(item)
     if header is None:
         raise KeyError(f"item {item} has no header")
+    seq_items = ult.seq_items
     seq_utils = ult.seq_utils
+    succ = ult.successors[item]
     occurrences: list[SeqOccurrences] = []
     until = 0
     for sid, positions in ult.item_positions[item].items():
@@ -145,7 +149,11 @@ def init_row(ult: UtilityLinkedTable, item: int) -> SrtRow:
             if u > best:
                 best = u
         until += best
-        occurrences.append(SeqOccurrences(sid, entries))
+        view = ()
+        if succ:
+            items_s = seq_items[sid]
+            view = tuple([k for k in range(positions[0] + 1, len(items_s)) if items_s[k] in succ])
+        occurrences.append(SeqOccurrences(sid, entries, view))
     return SrtRow(item, occurrences, len(occurrences), until, header.rru_sum)
 
 
@@ -153,89 +161,85 @@ def _scan(
     ult: UtilityLinkedTable, srt: SequenceRecordTable, minutil: Threshold | None
 ) -> tuple[list[SrtRow], int]:
     last = srt.rows[-1]
-    path_items = srt.item_set
     scratch = srt.scratch
     if scratch is None or scratch.size < ult.n_item_ids:
         scratch = srt.scratch = _ScanScratch(ult.n_item_ids)
-    scratch.scan_stamp += 1
-    scan_stamp = scratch.scan_stamp
-    glob_ep = scratch.glob_ep
     seq_ep = scratch.seq_ep
+    g_first = scratch.first
     g_sup = scratch.sup
     g_until = scratch.until
     g_rrs = scratch.rrs
-    g_rows = scratch.rows_by_item
     s_best = scratch.seq_best
     s_bound = scratch.seq_bound
-    order = scratch.order
-    order.clear()
-    touched = scratch.seq_touched
     seq_items = ult.seq_items
     seq_utils = ult.seq_utils
     seq_rrus = ult.seq_rrus
+    # Stamps only grow: an item stamped at or below base is new to this
+    # scan, one stamped between base and the current sequence's stamp
+    # still has that earlier sequence's best and bound to fold in.
+    base = stamp = scratch.seq_stamp
+    order: list[int] = []
 
-    # Phase one: aggregate per candidate item. Between two consecutive end
-    # positions the running best is constant, so the walk goes segment by
-    # segment; a 1-based entry position doubles as the 0-based index of
-    # the first node after it.
-    for occ in last.occurrences:
-        sid = occ.sid
-        entries = occ.entries
-        items_s = seq_items[sid]
-        n = len(items_s)
-        start = entries[0][0]
-        if start >= n:
+    # Phase one: aggregate per candidate item over the views. Between two
+    # consecutive end positions the running best is constant, so the walk
+    # goes segment by segment; a 1-based entry position doubles as the
+    # 0-based index of the first position after it.
+    occurrences = last.occurrences
+    for oi, occ in enumerate(occurrences):
+        view = occ.view
+        if not view:
             continue
+        sid = occ.sid
+        items_s = seq_items[sid]
         utils_s = seq_utils[sid]
         rrus_s = seq_rrus[sid]
-        scratch.seq_stamp += 1
-        seq_stamp = scratch.seq_stamp
-        touched.clear()
+        stamp += 1
+        entries = occ.entries
         run = entries[0][1]
         m = len(entries)
+        n = len(view)
+        lo = 0
         ei = 1
         while True:
-            stop = entries[ei][0] if ei < m else n
-            if start < stop:
-                for it, u, rr in zip(
-                    items_s[start:stop], utils_s[start:stop], rrus_s[start:stop]
-                ):
-                    if it in path_items:
-                        continue
-                    if seq_ep[it] != seq_stamp:
-                        seq_ep[it] = seq_stamp
-                        touched.append(it)
-                        s_best[it] = run + u
-                        s_bound[it] = run + rr
-                    else:
-                        v = run + u
-                        if v > s_best[it]:
-                            s_best[it] = v
-                        v = run + rr
-                        if v > s_bound[it]:
-                            s_bound[it] = v
-            if ei >= m:
+            hi = bisect_left(view, entries[ei][0], lo) if ei < m else n
+            for k in view[lo:hi] if lo or hi < n else view:
+                it = items_s[k]
+                v = run + utils_s[k]
+                r = run + rrus_s[k]
+                seen = seq_ep[it]
+                if seen == stamp:
+                    if v > s_best[it]:
+                        s_best[it] = v
+                    if r > s_bound[it]:
+                        s_bound[it] = r
+                    continue
+                if seen > base:
+                    g_sup[it] += 1
+                    g_until[it] += s_best[it]
+                    g_rrs[it] += s_bound[it]
+                else:
+                    order.append(it)
+                    g_first[it] = oi
+                    g_sup[it] = 1
+                    g_until[it] = 0
+                    g_rrs[it] = 0
+                seq_ep[it] = stamp
+                s_best[it] = v
+                s_bound[it] = r
+            if hi == n:
                 break
             b = entries[ei][1]
             if b > run:
                 run = b
-            start = entries[ei][0]
+            lo = hi
             ei += 1
-        for it in touched:
-            if glob_ep[it] != scan_stamp:
-                glob_ep[it] = scan_stamp
-                order.append(it)
-                g_sup[it] = 1
-                g_until[it] = s_best[it]
-                g_rrs[it] = s_bound[it]
-                g_rows[it] = [occ]
-            else:
-                g_sup[it] += 1
-                g_until[it] += s_best[it]
-                g_rrs[it] += s_bound[it]
-                g_rows[it].append(occ)
+    scratch.seq_stamp = stamp
+    for it in order:
+        g_until[it] += s_best[it]
+        g_rrs[it] += s_bound[it]
 
-    # Phase two: gate, then rebuild occurrence entries only for survivors.
+    # Phase two: gate, then rebuild occurrence entries and views only for
+    # survivors, finding their sequences through the item index.
     out: list[SrtRow] = []
     pruned = 0
     gated = minutil is not None
@@ -243,25 +247,31 @@ def _scan(
         num = minutil.numerator
         den = minutil.denominator
     item_positions = ult.item_positions
+    successors = ult.successors
     for it in order:
         rrs = g_rrs[it]
         if gated and rrs * den < num:
             pruned += 1
-            g_rows[it] = None
             continue
         positions_by_sid = item_positions[it]
+        succ = successors[it]
+        sup = g_sup[it]
         occ_rows: list[SeqOccurrences] = []
-        for occ in g_rows[it]:
+        for occ in islice(occurrences, g_first[it], None):
             sid = occ.sid
+            pos_idx = positions_by_sid.get(sid)
+            if pos_idx is None:
+                continue
             entries = occ.entries
-            frontier = entries[0][0]
-            pos_idx = positions_by_sid[sid]
+            lo = bisect_left(pos_idx, entries[0][0])
+            if lo == len(pos_idx):
+                continue
             utils_s = seq_utils[sid]
             run = -1
             ei = 0
             m = len(entries)
             ents_out: list[tuple[int, int]] = []
-            for j in pos_idx[bisect_right(pos_idx, frontier - 1) :]:
+            for j in pos_idx[lo:]:
                 q = j + 1
                 while ei < m and entries[ei][0] < q:
                     b = entries[ei][1]
@@ -269,9 +279,17 @@ def _scan(
                         run = b
                     ei += 1
                 ents_out.append((q, run + utils_s[j]))
-            occ_rows.append(SeqOccurrences(sid, ents_out))
-        g_rows[it] = None
-        out.append(SrtRow(it, occ_rows, g_sup[it], g_until[it], rrs))
+            child: list[int] = []
+            if succ:
+                view = occ.view
+                items_s = seq_items[sid]
+                for k in view[bisect_left(view, pos_idx[lo] + 1) :]:
+                    if items_s[k] in succ:
+                        child.append(k)
+            occ_rows.append(SeqOccurrences(sid, ents_out, tuple(child)))
+            if len(occ_rows) == sup:
+                break
+        out.append(SrtRow(it, occ_rows, sup, g_until[it], rrs))
     return out, pruned
 
 

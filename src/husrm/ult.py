@@ -12,14 +12,19 @@ first projection row of an item and lets a scan rematerialize occurrence
 details for the few extensions that survive gating without walking the
 sequence again; it iterates in (sid, pos) order.
 
+successors[x] is the EUCP successor set of item x at the minutil the
+table was built for (see bounds.successor_sets): the items that may
+follow x on a path that can still emit a rule. Built at minutil 0 it
+blocks nothing.
+
 Headers follow first appearance; each carries the item's rru sum. The
 table is immutable after build.
 """
 
 from dataclasses import dataclass
 
-from .bounds import ru_values, rru_values
-from .model import SequenceDatabase
+from .bounds import ru_values, rru_values, successor_sets
+from .model import SequenceDatabase, Threshold
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,6 +44,7 @@ class UtilityLinkedTable:
         "seq_utils",
         "seq_rrus",
         "item_positions",
+        "successors",
         "_header_index",
     )
 
@@ -50,6 +56,7 @@ class UtilityLinkedTable:
         self.seq_utils: dict[int, tuple[int, ...]] = {}
         self.seq_rrus: dict[int, tuple[int, ...]] = {}
         self.item_positions: dict[int, dict[int, list[int]]] = {}
+        self.successors: dict[int, frozenset[int]] = {}
         self._header_index: dict[int, int] = {}
 
     def __len__(self) -> int:
@@ -60,8 +67,10 @@ class UtilityLinkedTable:
         return None if idx is None else self.headers[idx]
 
 
-def build_ult(db: SequenceDatabase, *, use_rru: bool = True) -> UtilityLinkedTable:
-    """Build the table in one forward scan.
+def build_ult(
+    db: SequenceDatabase, *, use_rru: bool = True, minutil: Threshold = Threshold(0, 1)
+) -> UtilityLinkedTable:
+    """Build the table in one forward scan, then its successor sets at minutil.
 
     The database should already have unpromising items removed when
     pruning is in effect. use_rru=False stores the raw suffix bound at
@@ -99,4 +108,5 @@ def build_ult(db: SequenceDatabase, *, use_rru: bool = True) -> UtilityLinkedTab
     for item in item_positions:
         ult._header_index[item] = len(ult.headers)
         ult.headers.append(UltHeader(item, rru_sum[item]))
+    ult.successors = successor_sets(ult, minutil)
     return ult
