@@ -165,17 +165,14 @@ def load_database(path: str | Path, fmt: str = "auto") -> SequenceDatabase:
         with open(path, "r", encoding="utf-8-sig") as handle:
             return parse_native(handle) if fmt == "native" else parse_spmf(handle)
     except UnicodeDecodeError:
-        raise ParseError(_first_bad_line(path.read_bytes()), "not valid UTF-8") from None
-
-
-def _first_bad_line(raw: bytes) -> int:
-    """1-based line of the first byte that is not UTF-8 (the decoder that
-    failed saw only one chunk of the file, so its offset is not usable)."""
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        return raw.count(b"\n", 0, exc.start) + 1
-    return 1
+        # The failing decoder saw one chunk; decode the whole file to find
+        # the line.
+        raw = path.read_bytes()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(raw.count(b"\n", 0, exc.start) + 1, "not valid UTF-8") from None
+        raise
 
 
 def write_native(db: SequenceDatabase, stream: TextIO) -> None:

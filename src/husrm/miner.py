@@ -2,12 +2,14 @@
 and confidence-guided cut emission.
 
 The pipeline is: optional duplicate removal, optional early item
-pruning, one utility-table build, then a depth-first walk over item
-prefixes. Every path push emits all the rules that path can support in
-one pass: the path's support column is non-increasing, so a binary
-search finds the leftmost cut whose antecedent support clears the
-confidence bar, and every cut from there to the end shares the path
-utility computed once. No per-rule utility recomputation ever happens.
+pruning, one utility-table build (with the EUCP successor sets at
+minutil, so every scan walks only the projected views of the path),
+then a depth-first walk over item prefixes. Every path push emits all
+the rules that path can support in one pass: the path's support column
+is non-increasing, so a binary search finds the leftmost cut whose
+antecedent support clears the confidence bar, and every cut from there
+to the end shares the path utility computed once. No per-rule utility
+recomputation ever happens.
 
 The walk is serial and iterative: one loop keeps a stack of child-row
 iterators beside the path table, so path depth is bounded by memory, not
@@ -15,7 +17,9 @@ by the interpreter's recursion limit.
 
 Ablation switches mirror the benchmark variant names: rscn disables the
 early item prune, rscp disables the extension-bound gate, rscr swaps the
-reduced suffix bound for the raw one.
+reduced suffix bound for the raw one. The successor sets are on in every
+variant; the rrs_prunes counter counts only the extensions they let
+through that the gate then drops.
 """
 
 import time

@@ -8,21 +8,28 @@ and the utility bound (rrs) that justified creating the row. A single
 stored end position per sequence would lose embeddings, so rows keep all
 of them.
 
-Extension scanning walks each occurrence sequence exactly once, forward
-from the earliest end position. A running maximum over the best prefix
-utilities whose end positions lie strictly before the scan point gives,
-at each later position q, both the best extended-prefix utility
-(running + u(q)) and the rrs contribution (running + rru(q)). Scanning
-from the earliest end position loses no extension: any later position
-extends at least the embedding ending there.
+Extension scanning walks each occurrence's projected view: the positions
+after its earliest end whose item is still in the path's candidate set
+C. C holds the items that may extend the path and still head a rule:
+C(x) = successors[x] for a length-1 path and C(P.y) = C(P) & successors[y]
+(the utility table's EUCP successor sets), so no path item is ever in
+it. A running maximum over the best prefix utilities whose end positions
+lie strictly before the scan point gives, at each later position q, both
+the best extended-prefix utility (running + u(q)) and the rrs
+contribution (running + rru(q)). Scanning from the earliest end position
+loses no extension: any later position extends at least the embedding
+ending there.
 
-The scan is the miner's hot path, so it runs in two phases: phase one
-aggregates support, until_utility, and rrs per candidate item into
-reusable epoch-stamped arrays without materializing anything; phase two
-rebuilds the per-sequence occurrence entries only for candidates that
-survive the caller's utility gate, reading each survivor's positions
-from the utility table's item-major index (item -> sid -> positions).
-Ungated callers simply materialize every candidate.
+The scan is the miner's hot path, so it runs in two phases. Phase one
+walks the views once and aggregates support, until_utility and rrs per
+candidate item into reusable stamped arrays, folding an item's
+per-sequence best into the totals when the item turns up in a later
+sequence. Phase two rebuilds the occurrence entries only for candidates
+that survive the caller's utility gate, finding their sequences through
+the utility table's item index (item -> sid -> positions), and builds
+each child view by filtering the parent's view, from the child's first
+end on, with the child's successor set. Ungated callers simply
+materialize every candidate.
 
 One table holds the path the search is growing, and the miner reuses it
 from one top-level item to the next; the utility table it reads is
@@ -43,15 +50,15 @@ class SeqOccurrences:
 
     entries is ascending in position; each entry pairs a 1-based end
     position with the best prefix utility over embeddings ending exactly
-    there. view lists, ascending, the 0-based positions after the first
+    there. view holds, ascending, the 0-based positions after the first
     end whose item is in the path's candidate set: the only positions a
-    scan of this occurrence visits. An empty view is the shared empty
-    tuple, so the many occurrences that cannot extend allocate nothing.
+    scan of this occurrence visits. It is a tuple, which the garbage
+    collector stops tracking, and empty views share the empty tuple.
     """
 
     sid: int
     entries: list[tuple[int, int]]
-    view: list[int] | tuple[()]
+    view: tuple[int, ...]
 
 
 @dataclass(slots=True)
@@ -67,7 +74,9 @@ class _ScanScratch:
     """Reusable per-item buffers, stamped so they never need clearing.
 
     seq_stamp counts the occurrence sequences scanned so far; seq_ep[it]
-    is the stamp of the last sequence in which item it was seen.
+    is the stamp of the last sequence in which item it was seen, first[it]
+    the index of the scan's first occurrence holding it, and seq_best /
+    seq_bound its best utility and bound within that last sequence.
     """
 
     __slots__ = (
@@ -128,8 +137,8 @@ def init_row(ult: UtilityLinkedTable, item: int) -> SrtRow:
     """Length-1 row: every occurrence of the item, from the table's item index.
 
     Each occurrence's best prefix utility is its own utility and its view
-    keeps the later positions whose item is a successor of this one; the
-    row bound is the header's rru sum.
+    keeps the positions after the first occurrence whose item is a
+    successor of this one; the row bound is the header's rru sum.
     """
     header = ult.header_for(item)
     if header is None:
