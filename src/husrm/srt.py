@@ -303,11 +303,12 @@ def _scan(
 
 
 def scan_extensions(ult: UtilityLinkedTable, srt: SequenceRecordTable) -> list[SrtRow]:
-    """Find every one-item extension of the current path.
+    """Find every one-item extension of the current path in its candidate set.
 
     Returns ready rows in first-encounter order; each row's item and rrs
-    name the extension and its bound. Items already on the path are
-    skipped because rules cannot repeat items.
+    name the extension and its bound. Items already on the path (rules
+    cannot repeat items) and items the successor sets block are not in
+    the views, so they are never found.
     """
     return _scan(ult, srt, None)[0]
 

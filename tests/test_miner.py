@@ -92,7 +92,7 @@ def test_find_cut_start_matches_linear_scan(raw, num, den):
 def fake_table(items, supports, until, rrs=None):
     srt = SequenceRecordTable()
     for i, (item, sup) in enumerate(zip(items, supports)):
-        row = SrtRow(item, [SeqOccurrences(1, [(i + 1, 0)], [])], sup, until, rrs or until)
+        row = SrtRow(item, [SeqOccurrences(1, [(i + 1, 0)], ())], sup, until, rrs or until)
         srt.push_row(row)
     return srt
 

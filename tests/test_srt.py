@@ -134,11 +134,11 @@ def test_push_pop_stack_discipline(small_db):
 
 def test_push_rejects_duplicates_and_rising_support():
     srt = SequenceRecordTable()
-    srt.push_row(SrtRow(1, [SeqOccurrences(1, [(1, 5)], [])], 1, 5, 5))
+    srt.push_row(SrtRow(1, [SeqOccurrences(1, [(1, 5)], ())], 1, 5, 5))
     with pytest.raises(InvariantError):
-        srt.push_row(SrtRow(1, [SeqOccurrences(1, [(2, 5)], [])], 1, 5, 5))
+        srt.push_row(SrtRow(1, [SeqOccurrences(1, [(2, 5)], ())], 1, 5, 5))
     with pytest.raises(InvariantError):
-        srt.push_row(SrtRow(2, [SeqOccurrences(1, [(2, 5)], [])], 2, 5, 5))
+        srt.push_row(SrtRow(2, [SeqOccurrences(1, [(2, 5)], ())], 2, 5, 5))
 
 
 def test_pop_empty_table_is_a_bug():
@@ -153,9 +153,9 @@ from husrm.srt import SeqOccurrences, SequenceRecordTable, SrtRow
 if __debug__:
     raise SystemExit("expected to run under python -O")
 srt = SequenceRecordTable()
-srt.push_row(SrtRow(1, [SeqOccurrences(1, [(1, 5)], [])], 1, 5, 5))
+srt.push_row(SrtRow(1, [SeqOccurrences(1, [(1, 5)], ())], 1, 5, 5))
 try:
-    srt.push_row(SrtRow(1, [SeqOccurrences(1, [(2, 5)], [])], 1, 5, 5))
+    srt.push_row(SrtRow(1, [SeqOccurrences(1, [(2, 5)], ())], 1, 5, 5))
 except InvariantError:
     raise SystemExit(0)
 raise SystemExit("duplicate push went unchecked")
