@@ -38,7 +38,6 @@ immutable.
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
 
 from .model import InvariantError, Threshold
 from .ult import UtilityLinkedTable
@@ -74,16 +73,14 @@ class _ScanScratch:
     """Reusable per-item buffers, stamped so they never need clearing.
 
     seq_stamp counts the occurrence sequences scanned so far; seq_ep[it]
-    is the stamp of the last sequence in which item it was seen, first[it]
-    the index of the scan's first occurrence holding it, and seq_best /
-    seq_bound its best utility and bound within that last sequence.
+    is the stamp of the last sequence in which item it was seen, and
+    seq_best / seq_bound its best utility and bound within that sequence.
     """
 
     __slots__ = (
         "size",
         "seq_stamp",
         "seq_ep",
-        "first",
         "sup",
         "until",
         "rrs",
@@ -95,7 +92,6 @@ class _ScanScratch:
         self.size = size
         self.seq_stamp = 0
         self.seq_ep = [0] * size
-        self.first = [0] * size
         self.sup = [0] * size
         self.until = [0] * size
         self.rrs = [0] * size
@@ -174,7 +170,6 @@ def _scan(
     if scratch is None or scratch.size < ult.n_item_ids:
         scratch = srt.scratch = _ScanScratch(ult.n_item_ids)
     seq_ep = scratch.seq_ep
-    g_first = scratch.first
     g_sup = scratch.sup
     g_until = scratch.until
     g_rrs = scratch.rrs
@@ -194,7 +189,7 @@ def _scan(
     # goes segment by segment; a 1-based entry position doubles as the
     # 0-based index of the first position after it.
     occurrences = last.occurrences
-    for oi, occ in enumerate(occurrences):
+    for occ in occurrences:
         view = occ.view
         if not view:
             continue
@@ -228,7 +223,6 @@ def _scan(
                     g_rrs[it] += s_bound[it]
                 else:
                     order.append(it)
-                    g_first[it] = oi
                     g_sup[it] = 1
                     g_until[it] = 0
                     g_rrs[it] = 0
@@ -248,7 +242,8 @@ def _scan(
         g_rrs[it] += s_bound[it]
 
     # Phase two: gate, then rebuild occurrence entries and views only for
-    # survivors, finding their sequences through the item index.
+    # survivors, finding their sequences through the item index. The
+    # walk over the parent's occurrences stops at the sup-th one found.
     out: list[SrtRow] = []
     pruned = 0
     gated = minutil is not None
@@ -266,7 +261,7 @@ def _scan(
         succ = successors[it]
         sup = g_sup[it]
         occ_rows: list[SeqOccurrences] = []
-        for occ in islice(occurrences, g_first[it], None):
+        for occ in occurrences:
             sid = occ.sid
             pos_idx = positions_by_sid.get(sid)
             if pos_idx is None:
