@@ -1,10 +1,9 @@
 """Fuzzing of both input parsers: every input parses or raises ParseError.
 
-Inputs mix well-formed tokens with the cases that used to slip through:
-CRLF and bare CR line ends, a byte order mark, non-ASCII labels and
-digits, utilities at and past 2^64 - 1 (and past int()'s digit limit),
-and ``-1``/``-2`` markers in any place. At the byte level they also hold
-bytes that are not UTF-8.
+Inputs mix well-formed tokens with hard cases: CRLF and bare CR line
+ends, a byte order mark, non-ASCII labels and digits, utilities at and
+past 2^64 - 1 (and past int()'s digit limit), and ``-1``/``-2`` markers
+in any place. At the byte level they also hold bytes that are not UTF-8.
 """
 
 import pytest
