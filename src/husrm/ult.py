@@ -75,6 +75,8 @@ def build_ult(
     The database should already have unpromising items removed when
     pruning is in effect. use_rru=False stores the raw suffix bound at
     every position instead, which also switches the header sums to ru.
+    The miner passes its minutil; at the default 0 the successor sets
+    block nothing.
     """
     ult = UtilityLinkedTable()
     ult.n_item_ids = len(db.items)
