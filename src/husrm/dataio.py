@@ -9,7 +9,9 @@ recomputed. Itemsets holding more than one item are rejected: events
 never happen simultaneously in this model.
 
 Files are read as UTF-8; a leading byte order mark is dropped, and bytes
-that are not UTF-8 are a parse error on the line that holds them.
+that are not UTF-8 are a parse error on the line that holds them. A line
+ends at ``\n``, ``\r\n`` or a bare ``\r``, whether the parsers are given
+a file or a string.
 
 Rule and statistics line formats are byte-exact contracts; golden tests
 pin them.
@@ -27,6 +29,7 @@ from .model import (
     Rule,
     Sequence,
     SequenceDatabase,
+    gc_paused,
 )
 
 
@@ -48,10 +51,12 @@ def _long_digits_value(digits: str) -> int:
 
 def _lines(stream: str | IO[str]) -> Iterable[str]:
     if isinstance(stream, str):
-        return io.StringIO(stream)
+        # Split at \r, \n and \r\n, as files opened in text mode are.
+        return io.StringIO(stream, newline=None)
     return stream
 
 
+@gc_paused()
 def parse_native(stream: str | IO[str]) -> SequenceDatabase:
     """Parse the native ``item:utility`` line format.
 
@@ -90,6 +95,7 @@ _SPMF_EVENT = re.compile(r"^(.+)\[([0-9]+)\]$")
 _SPMF_TRAILER = re.compile(r"^SUtility:[0-9]+$")
 
 
+@gc_paused()
 def parse_spmf(stream: str | IO[str]) -> SequenceDatabase:
     """Parse the SPMF-style ``item[utility] -1 ... -2`` line format.
 
@@ -176,9 +182,21 @@ def load_database(path: str | Path, fmt: str = "auto") -> SequenceDatabase:
 
 
 def write_native(db: SequenceDatabase, stream: TextIO) -> None:
-    """Write the native format; parse_native(write_native(db)) == db."""
+    """Write the native format; parse_native(write_native(db)) == db.
+
+    Raises ValueError, before writing that sequence's line, when a
+    sequence's first label starts with ``#``: the line would read back
+    as a comment and the sequence would be lost. A ``#`` label anywhere
+    else in a sequence round-trips.
+    """
     items = db.items
     for seq in db.sequences:
+        first = items.token_of(seq.events[0].item)
+        if first.startswith("#"):
+            raise ValueError(
+                f"sequence {seq.sid} starts with label {first!r}, which the native "
+                "format would read back as a comment"
+            )
         stream.write(
             " ".join(f"{items.token_of(ev.item)}:{ev.utility}" for ev in seq.events)
         )

@@ -28,7 +28,14 @@ from typing import Callable, Sequence as Seq
 
 from .bounds import prune_unpromising
 from .dataio import dedup_max_utility
-from .model import Rule, SequenceDatabase, Threshold, compare_at_least, confidence_at_least
+from .model import (
+    Rule,
+    SequenceDatabase,
+    Threshold,
+    compare_at_least,
+    confidence_at_least,
+    gc_paused,
+)
 from .srt import (
     SequenceRecordTable,
     SrtRow,
@@ -177,11 +184,13 @@ def srt_growth(
     return _extensions(ult, srt, cfg, stats)
 
 
+@gc_paused()
 def mine(db: SequenceDatabase, cfg: MiningConfig) -> tuple[list[Rule], MiningStats]:
     """Mine every totally ordered rule meeting both thresholds.
 
     Output order is deterministic: depth-first over header items in
     first-appearance order, children in scan order, cuts left to right.
+    Cyclic garbage collection is paused for the call (see gc_paused).
     """
     start = time.perf_counter()
     stats = MiningStats(minutil=cfg.minutil)
@@ -190,8 +199,8 @@ def mine(db: SequenceDatabase, cfg: MiningConfig) -> tuple[list[Rule], MiningSta
     work = dedup_max_utility(db) if cfg.dedup else db
     if cfg.use_seu_prune:
         work = prune_unpromising(work, cfg.minutil, distinct_max=cfg.seu_distinct_max)
-    stats.items_after_pruning = len(work.distinct_items())
     ult = build_ult(work, use_rru=cfg.use_rru, minutil=cfg.minutil)
+    stats.items_after_pruning = len(ult.headers)
     rules: list[Rule] = []
     sink = rules.append
     srt = SequenceRecordTable()

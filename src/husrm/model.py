@@ -8,10 +8,12 @@ rationals and every threshold decision is made by integer
 cross-multiplication; floats never enter a mining decision.
 """
 
+import gc
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 U64_MAX = 2**64 - 1
 
@@ -22,6 +24,27 @@ class InvariantError(RuntimeError):
     Raised by explicit checks rather than assert, so the checks also run
     under python -O.
     """
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause cyclic garbage collection for a block or a decorated call.
+
+    Parsing and mining build millions of containers (events, sequences,
+    position lists, occurrence rows) and none of them form a reference
+    cycle, so reference counting alone frees all of them; every full
+    collection would only re-traverse them. The collector is re-enabled
+    on exit, also by an exception, but only if it was enabled on
+    entry, so a caller that turned it off keeps it off and nested pauses
+    compose.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class ItemTable:

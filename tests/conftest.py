@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -23,6 +24,20 @@ a:2 c:2 f:10
 a:2 a:1 a:2 b:6 c:3 a:3
 d:1 a:1 b:4
 """
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """Fail any test that leaves cyclic garbage collection switched off.
+
+    Parsing and mining pause the collector; a path that forgot to switch
+    it back on would otherwise go unnoticed. It is switched back on here
+    either way, so one failure does not spread to later tests.
+    """
+    yield
+    enabled = gc.isenabled()
+    gc.enable()
+    assert enabled, "the test left cyclic garbage collection disabled"
 
 
 @pytest.fixture

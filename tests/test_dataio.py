@@ -156,6 +156,35 @@ def test_native_round_trip(rows):
     assert parse_native(buf.getvalue()) == db
 
 
+@pytest.mark.parametrize(
+    "parse, suffix, text",
+    [
+        (parse_native, ".usdb", "a:1\rb:2\r\nc:3\n"),
+        (parse_spmf, ".spmf", "a[1] -1 -2\rb[2] -1 -2\r\nc[3] -1 -2\n"),
+    ],
+    ids=["native", "spmf"],
+)
+def test_str_and_file_input_split_lines_alike(tmp_path, parse, suffix, text):
+    path = tmp_path / f"db{suffix}"
+    path.write_bytes(text.encode("utf-8"))
+    from_str = parse(text)
+    assert [len(seq) for seq in from_str.sequences] == [1, 1, 1]
+    assert from_str == load_database(path)
+
+
+def test_write_native_rejects_a_sequence_that_would_read_as_a_comment():
+    db = build_database([[("a", 1)], [("#a", 1), ("b", 2)]])
+    with pytest.raises(ValueError, match="sequence 2 .*'#a'"):
+        write_native(db, io.StringIO())
+
+
+def test_write_native_round_trips_a_hash_label_after_the_first():
+    db = build_database([[("b", 2), ("#a", 1)], [("c", 1), ("#", 3), ("#a", 4)]])
+    buf = io.StringIO()
+    write_native(db, buf)
+    assert parse_native(buf.getvalue()) == db
+
+
 def test_dedup_keeps_max_and_earliest_on_tie(sample_db):
     deduped = dedup_max_utility(sample_db)
     s4 = deduped.sequence_by_sid(4)
