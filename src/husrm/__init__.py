@@ -53,7 +53,7 @@ from .oracle import (
     support_of,
 )
 from .srt import SeqOccurrences, SequenceRecordTable, SrtRow, init_row, scan_extensions
-from .ult import UltHeader, UtilityLinkedTable, build_ult
+from .ult import UtilityLinkedTable, UtilityTable, build_ult
 
 __version__ = "0.1.0"
 
@@ -75,8 +75,8 @@ __all__ = [
     "SequenceRecordTable",
     "SrtRow",
     "Threshold",
-    "UltHeader",
     "UtilityLinkedTable",
+    "UtilityTable",
     "VARIANTS",
     "build_database",
     "build_ult",

@@ -96,17 +96,21 @@ def rru_values(events: tuple[Event, ...]) -> list[int]:
     return out
 
 
-def successor_sets(ult, minutil: Threshold) -> dict[int, frozenset[int]]:
-    """EUCP successor table of a utility table: y in out[x] iff eu(x, y) >= minutil.
+def successor_sets(
+    seq_items: dict[int, tuple[int, ...]],
+    seq_utils: dict[int, tuple[int, ...]],
+    item_positions: dict[int, dict[int, list[int]]],
+    minutil: Threshold,
+) -> dict[int, frozenset[int]]:
+    """EUCP successor table of the utility table: y in out[x] iff eu(x, y) >= minutil.
 
     out[x] never holds x itself. At minutil 0 it holds exactly the items
     that occur after some x in some sequence, so it blocks nothing. The
-    table is built one antecedent item at a time from the table's item
-    index, so only the surviving pairs are ever held at once.
+    table is built one antecedent item at a time from the item index
+    (item -> sid -> positions), so only the surviving pairs are ever held
+    at once.
     """
     num, den = minutil.numerator, minutil.denominator
-    seq_items = ult.seq_items
-    seq_utils = ult.seq_utils
     # The distinct-max utility (the seu term) of every sequence; only a
     # sequence that repeats an item needs a set to count a suffix's items
     # once.
@@ -124,7 +128,7 @@ def successor_sets(ult, minutil: Threshold) -> dict[int, frozenset[int]]:
             terms[sid] = sum(maxima.values())
             repeats.add(sid)
     out: dict[int, frozenset[int]] = {}
-    for x, positions_by_sid in ult.item_positions.items():
+    for x, positions_by_sid in item_positions.items():
         eu: dict[int, int] = {}
         get = eu.get
         for sid, positions in positions_by_sid.items():

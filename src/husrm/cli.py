@@ -74,17 +74,10 @@ def _resolve_minutil(args, db) -> Threshold:
     return Threshold.from_string(args.minutil)
 
 
-def _resolve_minconf(args) -> Threshold:
-    minconf = Threshold.from_string(args.minconf)
-    if minconf.numerator <= 0 or minconf.numerator > minconf.denominator:
-        raise ValueError("minconf must lie in (0, 1]")
-    return minconf
-
-
 def _cmd_mine(args) -> int:
     db = load_database(args.input, args.format)
     minutil = _resolve_minutil(args, db)
-    minconf = _resolve_minconf(args)
+    minconf = Threshold.from_string(args.minconf)
     cfg = MiningConfig(
         minutil=minutil,
         minconf=minconf,
@@ -123,7 +116,7 @@ def _cmd_mine(args) -> int:
 def _cmd_oracle(args) -> int:
     db = load_database(args.input, args.format)
     minutil = _resolve_minutil(args, db)
-    minconf = _resolve_minconf(args)
+    minconf = Threshold.from_string(args.minconf)
     _echo_config(
         {
             "command": "oracle",
@@ -151,7 +144,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_verify(args) -> int:
     db = load_database(args.input, args.format)
     minutil = _resolve_minutil(args, db)
-    minconf = _resolve_minconf(args)
+    minconf = Threshold.from_string(args.minconf)
     _echo_config(
         {
             "command": "verify",
@@ -250,7 +243,7 @@ def _cmd_bench(args) -> int:
         raise ValueError("repeat must be positive")
     db = load_database(args.input, args.format)
     minutil = _resolve_minutil(args, db)
-    minconf = _resolve_minconf(args)
+    minconf = Threshold.from_string(args.minconf)
     _echo_config(
         {
             "command": "bench",

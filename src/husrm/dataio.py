@@ -182,7 +182,14 @@ def load_database(path: str | Path, fmt: str = "auto") -> SequenceDatabase:
 
 
 def write_native(db: SequenceDatabase, stream: TextIO) -> None:
-    """Write the native format; parse_native(write_native(db)) == db.
+    """Write the native format, one line of token:utility pairs per sequence.
+
+    Reading the text back with parse_native gives the same rows of
+    (token, utility) pairs in the same order, but item ids and sids are
+    reassigned: ids in first-appearance order, sids 1..n. So
+    parse_native(write_native(db)) == db holds for a database that was
+    parsed or built on its own, and not for a derived one, such as the
+    output of prune_unpromising, whose item table keeps dropped tokens.
 
     Raises ValueError, before writing that sequence's line, when a
     sequence's first label starts with ``#``: the line would read back

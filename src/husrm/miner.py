@@ -32,6 +32,7 @@ from .model import (
     Rule,
     SequenceDatabase,
     Threshold,
+    check_minconf,
     compare_at_least,
     confidence_at_least,
     gc_paused,
@@ -43,7 +44,7 @@ from .srt import (
     scan_extensions,
     scan_extensions_gated,
 )
-from .ult import UtilityLinkedTable, build_ult
+from .ult import UtilityTable, build_ult
 
 RuleSink = Callable[[Rule], None]
 
@@ -76,9 +77,7 @@ class MiningConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        num, den = self.minconf.numerator, self.minconf.denominator
-        if num <= 0 or num > den:
-            raise ValueError("minconf must lie in (0, 1]")
+        check_minconf(self.minconf)
         if self.threads != 1:
             raise ValueError("threads must be 1: mining is serial")
 
@@ -156,7 +155,7 @@ def rule_produce(srt: SequenceRecordTable, cfg: MiningConfig, sink: RuleSink) ->
 
 
 def _extensions(
-    ult: UtilityLinkedTable, srt: SequenceRecordTable, cfg: MiningConfig, stats: MiningStats
+    ult: UtilityTable, srt: SequenceRecordTable, cfg: MiningConfig, stats: MiningStats
 ) -> list[SrtRow]:
     """Child rows of the current path, gated on rrs unless rscp is in effect."""
     if cfg.use_rrs_prune:
@@ -167,7 +166,7 @@ def _extensions(
 
 
 def srt_growth(
-    ult: UtilityLinkedTable,
+    ult: UtilityTable,
     srt: SequenceRecordTable,
     row: SrtRow,
     cfg: MiningConfig,
@@ -188,8 +187,9 @@ def srt_growth(
 def mine(db: SequenceDatabase, cfg: MiningConfig) -> tuple[list[Rule], MiningStats]:
     """Mine every totally ordered rule meeting both thresholds.
 
-    Output order is deterministic: depth-first over header items in
-    first-appearance order, children in scan order, cuts left to right.
+    Output order is deterministic: depth-first over the utility table's
+    items in first-appearance order, children in scan order, cuts left
+    to right.
     Cyclic garbage collection is paused for the call (see gc_paused).
     """
     start = time.perf_counter()
@@ -200,12 +200,12 @@ def mine(db: SequenceDatabase, cfg: MiningConfig) -> tuple[list[Rule], MiningSta
     if cfg.use_seu_prune:
         work = prune_unpromising(work, cfg.minutil, distinct_max=cfg.seu_distinct_max)
     ult = build_ult(work, use_rru=cfg.use_rru, minutil=cfg.minutil)
-    stats.items_after_pruning = len(ult.headers)
+    stats.items_after_pruning = len(ult.item_positions)
     rules: list[Rule] = []
     sink = rules.append
     srt = SequenceRecordTable()
-    for header in ult.headers:
-        srt.push_row(init_row(ult, header.item))
+    for item in ult.item_positions:
+        srt.push_row(init_row(ult, item))
         # pending[d] yields the not yet grown children of srt.rows[d].
         pending = [iter(_extensions(ult, srt, cfg, stats))]
         while pending:

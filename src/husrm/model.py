@@ -85,9 +85,6 @@ class ItemTable:
     def __len__(self) -> int:
         return len(self._tokens)
 
-    def __contains__(self, token: object) -> bool:
-        return token in self._by_token
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ItemTable) and self._tokens == other._tokens
 
@@ -225,9 +222,6 @@ class Threshold:
             raise ValueError("negative scale factor")
         return Threshold(self.numerator * factor, self.denominator)
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
     def __str__(self) -> str:
         return f"{self.numerator}/{self.denominator}"
 
@@ -240,6 +234,12 @@ def compare_at_least(value: int, threshold: Threshold) -> bool:
 def confidence_at_least(sup: int, ant_sup: int, minconf: Threshold) -> bool:
     """True iff sup / ant_sup >= minconf, decided exactly."""
     return sup * minconf.denominator >= ant_sup * minconf.numerator
+
+
+def check_minconf(minconf: Threshold) -> None:
+    """Raise ValueError unless minconf lies in (0, 1]: at 0 every cut qualifies, above 1 none."""
+    if minconf.numerator <= 0 or minconf.numerator > minconf.denominator:
+        raise ValueError("minconf must lie in (0, 1]")
 
 
 @dataclass(frozen=True, slots=True)

@@ -23,6 +23,7 @@ from .model import (
     Sequence,
     SequenceDatabase,
     Threshold,
+    check_minconf,
     compare_at_least,
     confidence_at_least,
 )
@@ -39,6 +40,7 @@ class OracleConfig:
     max_len: int = 8
 
     def __post_init__(self) -> None:
+        check_minconf(self.minconf)
         if self.max_len < 2:
             raise ValueError("max_len must be at least 2")
 

@@ -40,7 +40,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .model import InvariantError, Threshold
-from .ult import UtilityLinkedTable
+from .ult import UtilityTable
 
 
 @dataclass(slots=True)
@@ -129,41 +129,48 @@ class SequenceRecordTable:
         return row
 
 
-def init_row(ult: UtilityLinkedTable, item: int) -> SrtRow:
+def init_row(ult: UtilityTable, item: int) -> SrtRow:
     """Length-1 row: every occurrence of the item, from the table's item index.
 
     Each occurrence's best prefix utility is its own utility and its view
     keeps the positions after the first occurrence whose item is a
-    successor of this one; the row bound is the header's rru sum.
+    successor of this one. The row bound sums, over the item's sequences,
+    its largest stored rru there. An item the table does not hold raises
+    KeyError.
     """
-    header = ult.header_for(item)
-    if header is None:
-        raise KeyError(f"item {item} has no header")
     seq_items = ult.seq_items
     seq_utils = ult.seq_utils
+    seq_rrus = ult.seq_rrus
     succ = ult.successors[item]
     occurrences: list[SeqOccurrences] = []
     until = 0
+    rrs = 0
     for sid, positions in ult.item_positions[item].items():
         utils_s = seq_utils[sid]
+        rrus_s = seq_rrus[sid]
         entries = []
         best = 0
+        bound = 0
         for k in positions:
             u = utils_s[k]
             entries.append((k + 1, u))
             if u > best:
                 best = u
+            r = rrus_s[k]
+            if r > bound:
+                bound = r
         until += best
+        rrs += bound
         view = ()
         if succ:
             items_s = seq_items[sid]
             view = tuple([k for k in range(positions[0] + 1, len(items_s)) if items_s[k] in succ])
         occurrences.append(SeqOccurrences(sid, entries, view))
-    return SrtRow(item, occurrences, len(occurrences), until, header.rru_sum)
+    return SrtRow(item, occurrences, len(occurrences), until, rrs)
 
 
 def _scan(
-    ult: UtilityLinkedTable, srt: SequenceRecordTable, minutil: Threshold | None
+    ult: UtilityTable, srt: SequenceRecordTable, minutil: Threshold | None
 ) -> tuple[list[SrtRow], int]:
     last = srt.rows[-1]
     scratch = srt.scratch
@@ -297,7 +304,7 @@ def _scan(
     return out, pruned
 
 
-def scan_extensions(ult: UtilityLinkedTable, srt: SequenceRecordTable) -> list[SrtRow]:
+def scan_extensions(ult: UtilityTable, srt: SequenceRecordTable) -> list[SrtRow]:
     """Find every one-item extension of the current path in its candidate set.
 
     Returns ready rows in first-encounter order; each row's item and rrs
@@ -309,7 +316,7 @@ def scan_extensions(ult: UtilityLinkedTable, srt: SequenceRecordTable) -> list[S
 
 
 def scan_extensions_gated(
-    ult: UtilityLinkedTable, srt: SequenceRecordTable, minutil: Threshold
+    ult: UtilityTable, srt: SequenceRecordTable, minutil: Threshold
 ) -> tuple[list[SrtRow], int]:
     """scan_extensions, but candidates whose rrs falls below minutil are
     dropped before their rows are materialized; returns the drop count."""

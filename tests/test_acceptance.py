@@ -195,11 +195,11 @@ def test_criterion_5_bound_properties(corpus):
     # bound soundness of every reachable row, exhaustively at desk scale
     for db in [build_database(SAMPLE_ROWS)] + corpus[:150]:
         ult = build_ult(db)
-        for header in ult.headers:
+        for item in ult.item_positions:
             srt = SequenceRecordTable()
-            row = init_row(ult, header.item)
+            row = init_row(ult, item)
             srt.push_row(row)
-            best_ext = max_descendant_utility(db, ult, srt, (header.item,))
+            best_ext = max_descendant_utility(db, ult, srt, (item,))
             if best_ext >= 0:
                 assert row.rrs >= best_ext
     print("acceptance criterion 5 (bound properties): PASS")

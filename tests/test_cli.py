@@ -66,6 +66,13 @@ def test_mine_bad_minconf(sample_path):
     assert cli.main(["mine", sample_path, "--delta", "0.1", "--minconf", "1.5"]) == 2
 
 
+@pytest.mark.parametrize("command", ["oracle", "verify", "bench"])
+@pytest.mark.parametrize("minconf", ["0", "1.5"])
+def test_bad_minconf_exits_2_in_every_command(sample_path, capsys, command, minconf):
+    assert cli.main([command, sample_path, "--delta", "0.1", "--minconf", minconf]) == 2
+    assert "minconf must lie in (0, 1]" in capsys.readouterr().err
+
+
 def test_mine_parse_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.usdb"
     bad.write_text("a:1\nbroken\n", encoding="utf-8")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from husrm.bounds import prune_unpromising
 from husrm.dataio import (
     ParseError,
     dedup_max_utility,
@@ -19,6 +20,10 @@ from husrm.miner import MiningConfig, mine
 from husrm.model import ItemTable, Rule, Threshold, build_database
 
 from conftest import SAMPLE_NATIVE, SAMPLE_ROWS
+
+
+def rows_of(db):
+    return [[(db.items.token_of(ev.item), ev.utility) for ev in seq.events] for seq in db.sequences]
 
 
 def test_parse_native_single_line():
@@ -183,6 +188,20 @@ def test_write_native_round_trips_a_hash_label_after_the_first():
     buf = io.StringIO()
     write_native(db, buf)
     assert parse_native(buf.getvalue()) == db
+
+
+def test_write_native_of_a_derived_database_keeps_rows_not_ids():
+    db = build_database([[("a", 1), ("b", 5)], [("c", 1), ("b", 3)]])
+    pruned = prune_unpromising(db, Threshold(7, 1))
+    buf = io.StringIO()
+    write_native(pruned, buf)
+    assert buf.getvalue() == "b:5\nb:3\n"
+    back = parse_native(buf.getvalue())
+    assert back != pruned
+    assert back.items.tokens() == ("b",)
+    assert pruned.items.id_of("b") == 1
+    assert rows_of(back) == rows_of(pruned) == [[("b", 5)], [("b", 3)]]
+    assert [seq.sid for seq in back.sequences] == [1, 2]
 
 
 def test_dedup_keeps_max_and_earliest_on_tie(sample_db):

@@ -21,7 +21,7 @@ def test_interning_is_a_bijection():
     assert [table.token_of(i) for i in range(3)] == ["x", "y", "z"]
     assert table.id_of("z") == 2
     assert len(table) == 3
-    assert "y" in table and "w" not in table
+    assert "y" in table.tokens() and "w" not in table.tokens()
 
 
 def test_interning_rejects_empty_label():

@@ -170,6 +170,13 @@ def test_no_cap_warning_when_enumeration_completes(sample_db):
         )
 
 
+@pytest.mark.parametrize("minconf", [Threshold(0, 1), Threshold(3, 2)])
+def test_config_rejects_minconf_outside_zero_one(minconf):
+    with pytest.raises(ValueError, match="minconf"):
+        OracleConfig(Threshold(0, 1), minconf, 8)
+    OracleConfig(Threshold(0, 1), Threshold(1, 1), 8)  # confidence 1 is valid
+
+
 def test_config_requires_room_for_rules():
     with pytest.raises(ValueError):
         OracleConfig(Threshold(0, 1), thr("0.5"), 1)

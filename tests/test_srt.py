@@ -199,12 +199,12 @@ def walk_all_prefixes(db, max_len=6):
                 grow(srt, prefix + (row.item,))
             srt.pop_row()
 
-    for header in ult.headers:
+    for item in ult.item_positions:
         srt = SequenceRecordTable()
-        row = init_row(ult, header.item)
+        row = init_row(ult, item)
         srt.push_row(row)
-        out.append(((header.item,), row))
-        grow(srt, (header.item,))
+        out.append(((item,), row))
+        grow(srt, (item,))
     return out
 
 
@@ -247,7 +247,7 @@ def test_frontier_scanning_finds_exactly_the_extensions(seed):
                 check(srt, prefix + (row.item,))
             srt.pop_row()
 
-    for header in ult.headers:
+    for item in ult.item_positions:
         srt = SequenceRecordTable()
-        srt.push_row(init_row(ult, header.item))
-        check(srt, (header.item,))
+        srt.push_row(init_row(ult, item))
+        check(srt, (item,))

@@ -1,8 +1,11 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from husrm.bounds import seu_per_item
 from husrm.model import build_database
 from husrm.oracle import PositionRef, rru_at, rru_sum_per_item, ru_at
+from husrm.srt import init_row
 from husrm.ult import build_ult
 
 from conftest import make_random_db
@@ -24,8 +27,14 @@ def test_single_node_database():
     assert ult.seq_utils == {sid: (7,)}
     assert ult.seq_rrus == {sid: (7,)}
     assert ult.item_positions == {x: {sid: [0]}}
-    (header,) = ult.headers
-    assert (header.item, header.rru_sum) == (x, 7)
+    row = init_row(ult, x)
+    assert (row.item, row.rrs) == (x, 7)
+
+
+def test_table_is_frozen(small_db):
+    ult = build_ult(small_db)
+    with pytest.raises(FrozenInstanceError):
+        ult.successors = {}
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -58,7 +67,8 @@ def test_occurrences_small_scope(small_db):
     f = small_db.items.id_of("f")
     assert index_refs(ult, f) == [(3, 3)]
     assert 999 not in ult.item_positions
-    assert ult.header_for(999) is None
+    with pytest.raises(KeyError):
+        init_row(ult, 999)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -66,14 +76,14 @@ def test_occurrence_chains_partition_all_nodes(seed):
     db = make_random_db(seed)
     ult = build_ult(db)
     seen = []
-    for header in ult.headers:
-        refs = index_refs(ult, header.item)
+    for item in ult.item_positions:
+        refs = index_refs(ult, item)
         # index order matches a naive positional scan
         naive = [
             (seq.sid, k + 1)
             for seq in db.sequences
             for k, ev in enumerate(seq.events)
-            if ev.item == header.item
+            if ev.item == item
         ]
         assert refs == naive
         seen.extend(refs)
@@ -86,7 +96,6 @@ def test_occurrence_chains_partition_all_nodes(seed):
 def test_counts_and_header_order(sample_db):
     ult = build_ult(sample_db)
     assert len(ult) == sum(len(seq.events) for seq in sample_db.sequences)
-    assert [h.item for h in ult.headers] == sample_db.distinct_items()
     assert list(ult.item_positions) == sample_db.distinct_items()
 
 
@@ -95,21 +104,21 @@ def test_header_sums_match_bounds_module(seed):
     db = make_random_db(seed)
     ult = build_ult(db)
     expected = rru_sum_per_item(db)
-    for header in ult.headers:
-        assert header.rru_sum == expected[header.item]
+    for item in ult.item_positions:
+        assert init_row(ult, item).rrs == expected[item]
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_header_bound_ordering(seed):
-    # seu >= rru_sum >= the item's largest single-occurrence utility
+    # seu >= a length-1 row's rrs >= the item's largest single-occurrence utility
     db = make_random_db(seed)
     ult = build_ult(db)
     seu = seu_per_item(db)
-    for header in ult.headers:
+    for item in ult.item_positions:
         best_single = max(
             ev.utility
             for seq in db.sequences
             for ev in seq.events
-            if ev.item == header.item
+            if ev.item == item
         )
-        assert seu[header.item] >= header.rru_sum >= best_single
+        assert seu[item] >= init_row(ult, item).rrs >= best_single
