@@ -4,7 +4,8 @@ generation, dataset stats, and ablation benchmarking.
 Exit codes: 0 success, 1 internal invariant or cross-check failure,
 2 usage or input parse error, 3 reference enumeration hit its length cap
 (verification inconclusive). Every run echoes its fully resolved
-configuration on stderr so results are reproducible from logs alone.
+configuration on stderr, before checking it, so results are
+reproducible from logs alone.
 """
 
 import statistics
@@ -14,17 +15,10 @@ import warnings
 from argparse import ArgumentParser
 from contextlib import contextmanager
 
-from .dataio import (
-    ParseError,
-    format_rule,
-    load_database,
-    write_native,
-    write_rules,
-    write_stats,
-)
+from .dataio import format_rule, load_database, write_native, write_rules, write_stats
 from .datagen import GenParams, generate
-from .miner import VARIANTS, MiningConfig, mine, variant_config
-from .model import InvariantError, Threshold
+from .miner import MiningConfig, mine, variant_config
+from .model import InvariantError, Rule, SequenceDatabase, Threshold
 from .oracle import MaxLenCapWarning, OracleConfig, oracle_mine
 
 EXIT_OK = 0
@@ -68,16 +62,49 @@ def _add_threshold_args(parser: ArgumentParser) -> None:
     )
 
 
-def _resolve_minutil(args, db) -> Threshold:
+def _load_and_echo(args, **own) -> tuple[SequenceDatabase, Threshold, Threshold]:
+    """Load the input, resolve both thresholds and echo them with the command's own keys.
+
+    Callers build and check their configs after this echo, before any mining.
+    """
+    db = load_database(args.input, args.format)
     if args.delta is not None:
-        return Threshold.from_string(args.delta).times(db.total_utility)
-    return Threshold.from_string(args.minutil)
+        minutil = Threshold.from_string(args.delta).times(db.total_utility)
+    else:
+        minutil = Threshold.from_string(args.minutil)
+    minconf = Threshold.from_string(args.minconf)
+    _echo_config(
+        {
+            "command": args.command,
+            "input": args.input,
+            "format": args.format,
+            "minutil": minutil,
+            "minconf": minconf,
+            **own,
+        }
+    )
+    return db, minutil, minconf
+
+
+def _oracle_mine(db: SequenceDatabase, cfg: OracleConfig) -> tuple[list[Rule], bool]:
+    """oracle_mine's rules, and whether some pattern hit the length cap."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rules = oracle_mine(db, cfg)
+    return rules, any(issubclass(w.category, MaxLenCapWarning) for w in caught)
 
 
 def _cmd_mine(args) -> int:
-    db = load_database(args.input, args.format)
-    minutil = _resolve_minutil(args, db)
-    minconf = Threshold.from_string(args.minconf)
+    db, minutil, minconf = _load_and_echo(
+        args,
+        dedup=args.dedup,
+        seu_prune=not args.no_seu_prune,
+        rrs_prune=not args.no_rrs_prune,
+        use_rru=not args.use_ru,
+        sort=args.sort,
+        out=args.out or "-",
+        stats=args.stats or "-",
+    )
     cfg = MiningConfig(
         minutil=minutil,
         minconf=minconf,
@@ -85,22 +112,6 @@ def _cmd_mine(args) -> int:
         use_rrs_prune=not args.no_rrs_prune,
         use_rru=not args.use_ru,
         dedup=args.dedup,
-    )
-    _echo_config(
-        {
-            "command": "mine",
-            "input": args.input,
-            "format": args.format,
-            "minutil": minutil,
-            "minconf": minconf,
-            "dedup": cfg.dedup,
-            "seu_prune": cfg.use_seu_prune,
-            "rrs_prune": cfg.use_rrs_prune,
-            "use_rru": cfg.use_rru,
-            "sort": args.sort,
-            "out": args.out or "-",
-            "stats": args.stats or "-",
-        }
     )
     rules, stats = mine(db, cfg)
     with _out_stream(args.out) as stream:
@@ -114,25 +125,8 @@ def _cmd_mine(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    db = load_database(args.input, args.format)
-    minutil = _resolve_minutil(args, db)
-    minconf = Threshold.from_string(args.minconf)
-    _echo_config(
-        {
-            "command": "oracle",
-            "input": args.input,
-            "format": args.format,
-            "minutil": minutil,
-            "minconf": minconf,
-            "max_len": args.max_len,
-            "out": args.out or "-",
-        }
-    )
-    cap_hit = False
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rules = oracle_mine(db, OracleConfig(minutil, minconf, args.max_len))
-        cap_hit = any(issubclass(w.category, MaxLenCapWarning) for w in caught)
+    db, minutil, minconf = _load_and_echo(args, max_len=args.max_len, out=args.out or "-")
+    rules, cap_hit = _oracle_mine(db, OracleConfig(minutil, minconf, args.max_len))
     with _out_stream(args.out) as stream:
         write_rules(rules, db.items, stream)
     if cap_hit:
@@ -142,24 +136,11 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    db = load_database(args.input, args.format)
-    minutil = _resolve_minutil(args, db)
-    minconf = Threshold.from_string(args.minconf)
-    _echo_config(
-        {
-            "command": "verify",
-            "input": args.input,
-            "format": args.format,
-            "minutil": minutil,
-            "minconf": minconf,
-            "max_len": args.max_len,
-        }
-    )
-    mined, _stats = mine(db, MiningConfig(minutil=minutil, minconf=minconf))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        expected = oracle_mine(db, OracleConfig(minutil, minconf, args.max_len))
-        cap_hit = any(issubclass(w.category, MaxLenCapWarning) for w in caught)
+    db, minutil, minconf = _load_and_echo(args, max_len=args.max_len)
+    cfg = MiningConfig(minutil=minutil, minconf=minconf)
+    oracle_cfg = OracleConfig(minutil, minconf, args.max_len)
+    mined, _stats = mine(db, cfg)
+    expected, cap_hit = _oracle_mine(db, oracle_cfg)
     mined_keys = {r.key(): r for r in mined}
     expected_keys = {r.key(): r for r in expected}
     only_miner = sorted(set(mined_keys) - set(expected_keys))
@@ -236,29 +217,14 @@ def _cmd_bench(args) -> int:
     names = [name.strip() for name in args.variants.split(",") if name.strip()]
     if not names:
         raise ValueError("no variants given")
-    for name in names:
-        if name not in VARIANTS:
-            raise ValueError(f"unknown variant {name!r}; choose from {sorted(VARIANTS)}")
     if args.repeat < 1:
         raise ValueError("repeat must be positive")
-    db = load_database(args.input, args.format)
-    minutil = _resolve_minutil(args, db)
-    minconf = Threshold.from_string(args.minconf)
-    _echo_config(
-        {
-            "command": "bench",
-            "input": args.input,
-            "format": args.format,
-            "minutil": minutil,
-            "minconf": minconf,
-            "dedup": args.dedup,
-            "variants": ",".join(names),
-            "repeat": args.repeat,
-        }
+    db, minutil, minconf = _load_and_echo(
+        args, dedup=args.dedup, variants=",".join(names), repeat=args.repeat
     )
+    configs = [variant_config(name, minutil, minconf, dedup=args.dedup) for name in names]
     results = {}
-    for name in names:
-        cfg = variant_config(name, minutil, minconf, dedup=args.dedup)
+    for name, cfg in zip(names, configs):
         runtimes = []
         rules = stats = None
         for _ in range(args.repeat):
@@ -351,10 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvariantError as exc:

@@ -83,7 +83,9 @@ class MiningConfig:
 
 
 def variant_config(name: str, minutil: Threshold, minconf: Threshold, **overrides) -> MiningConfig:
-    """Config for one named benchmark variant."""
+    """Config for one named benchmark variant; ValueError for an unknown name."""
+    if name not in VARIANTS:
+        raise ValueError(f"unknown variant {name!r}; choose from {sorted(VARIANTS)}")
     fields = dict(VARIANTS[name])
     fields.update(overrides)
     return MiningConfig(minutil=minutil, minconf=minconf, **fields)

@@ -187,7 +187,8 @@ def build_database(
     return SequenceDatabase(seqs, table)
 
 
-_DECIMAL = re.compile(r"^(\d+)?(?:\.(\d*))?$")
+# ASCII digits only: \d would also take other scripts' digits, such as "٣" or "１".
+_DECIMAL = re.compile(r"^([0-9]+)?(?:\.([0-9]*))?$")
 
 
 @dataclass(frozen=True, slots=True)

@@ -73,6 +73,100 @@ def test_bad_minconf_exits_2_in_every_command(sample_path, capsys, command, minc
     assert "minconf must lie in (0, 1]" in capsys.readouterr().err
 
 
+def config_lines(err: str) -> list[str]:
+    lines = err.splitlines()
+    echoed = [line for line in lines if line.startswith("[config] ")]
+    assert lines[: len(echoed)] == echoed, "the [config] lines come first"
+    return [line.removeprefix("[config] ") for line in echoed]
+
+
+def sample_config(path, command, *, minconf="6/10", fmt="auto"):
+    return [f"command={command}", f"input={path}", f"format={fmt}", "minutil=64/10", f"minconf={minconf}"]
+
+
+def test_config_echo_of_every_command(sample_path, tmp_path, capsys):
+    def echoed(argv):
+        assert cli.main(argv) == 0
+        return config_lines(capsys.readouterr().err)
+
+    out, stats = tmp_path / "rules.txt", tmp_path / "stats.txt"
+    assert echoed(
+        ["mine", sample_path, "--delta", "0.1", "--dedup", "--sort", "--out", str(out), "--stats", str(stats)]
+    ) == sample_config(sample_path, "mine") + [
+        "dedup=true", "seu_prune=true", "rrs_prune=true", "use_rru=true",
+        "sort=true", f"out={out}", f"stats={stats}",
+    ]
+    mine_defaults = [
+        "dedup=false", "seu_prune=true", "rrs_prune=true", "use_rru=true", "sort=false", "out=-", "stats=-",
+    ]
+    for flag, index in [("--no-seu-prune", 1), ("--no-rrs-prune", 2), ("--use-ru", 3)]:
+        expected = mine_defaults[:]
+        expected[index] = expected[index].replace("=true", "=false")
+        assert echoed(["mine", sample_path, "--delta", "0.1", flag]) == (
+            sample_config(sample_path, "mine") + expected
+        )
+    assert echoed(["oracle", sample_path, "--minutil", "6.4", "--minconf", "0.75"]) == sample_config(
+        sample_path, "oracle", minconf="75/100"
+    ) + ["max_len=8", "out=-"]
+    assert echoed(["verify", sample_path, "--delta", "0.1", "--format", "native", "--max-len", "5"]) == (
+        sample_config(sample_path, "verify", fmt="native") + ["max_len=5"]
+    )
+    assert echoed(["bench", sample_path, "--delta", "0.1", "--variants", "rsc, rscr", "--dedup"]) == (
+        sample_config(sample_path, "bench") + ["dedup=true", "variants=rsc,rscr", "repeat=1"]
+    )
+    assert echoed(["stats", sample_path]) == ["command=stats", f"input={sample_path}", "format=auto"]
+    gen_out = tmp_path / "g.usdb"
+    assert echoed(
+        ["gen", "--sequences", "3", "--alphabet", "4", "--avg-len", "2", "--max-len", "5", "--out", str(gen_out)]
+    ) == [
+        "command=gen", "sequences=3", "alphabet=4", "avg_len=2.0", "max_len=5",
+        "util_min=1", "util_max=9", "skew=1.0", "seed=0", f"out={gen_out}",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mine", "--minconf", "0"], "minconf must lie in (0, 1]"),
+        (["oracle", "--max-len", "1"], "max_len must be at least 2"),
+        (["verify", "--max-len", "1"], "max_len must be at least 2"),
+        (["bench", "--variants", "rsc,bogus"], "unknown variant 'bogus'"),
+    ],
+)
+def test_every_command_echoes_its_config_before_rejecting_it(sample_path, capsys, argv, message):
+    assert cli.main([argv[0], sample_path, "--delta", "0.1", *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(config_lines(err)) == len(lines) - 1 > 5
+    assert lines[-1].startswith("error: ") and message in lines[-1]
+
+
+def test_verify_rejects_max_len_before_mining(sample_path, capsys, monkeypatch):
+    calls = []
+
+    def recording_mine(db, cfg):
+        calls.append(cfg)
+        return real_mine(db, cfg)
+
+    monkeypatch.setattr(cli, "mine", recording_mine)
+    assert cli.main(["verify", sample_path, "--delta", "0.1", "--max-len", "1"]) == 2
+    assert calls == []
+    assert "max_len must be at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--minutil", "\u0663\u0660\u0660\u0660\u0660", "--minconf", "0.9"],
+        ["--minutil", "30000", "--minconf", "\uff10.\uff19"],
+        ["--delta", "\uff10.\uff11"],
+    ],
+)
+def test_non_ascii_threshold_digits_exit_2(sample_path, capsys, flags):
+    assert cli.main(["mine", sample_path, *flags]) == 2
+    assert "not a decimal threshold" in capsys.readouterr().err
+
+
 def test_mine_parse_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.usdb"
     bad.write_text("a:1\nbroken\n", encoding="utf-8")

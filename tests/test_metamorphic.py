@@ -1,0 +1,118 @@
+"""Metamorphic relations: transformations of the input whose effect on the
+output is known without knowing the output, so they check the miner at
+a scale the brute-force oracle cannot reach.
+
+- Scaling every utility and minutil by c multiplies each rule's utility
+  by c and changes no other rule field and no stats counter.
+- Relabeling the items and shuffling the sequences keeps the rule set,
+  read through the relabeling, and every stats counter.
+- Appending a sequence of fresh items whose total utility is below
+  minutil changes no rule, at the same absolute minutil.
+- The four benchmark variants return the same rule set.
+
+The database is generated (300 sequences over 100 items, so the early
+item prune has items to drop). minutil sits just above the best single
+sequence's utility, so no rule rests on one sequence, and it is not an
+integer, so the scaling relation also scales a denominator.
+"""
+
+import random
+from dataclasses import asdict
+
+import pytest
+
+from husrm.datagen import GenParams, generate
+from husrm.miner import VARIANTS, mine, variant_config
+from husrm.model import Threshold, build_database
+
+MINCONF = Threshold(1, 10)
+
+
+@pytest.fixture(scope="module")
+def base():
+    db = generate(GenParams(300, 100, 6.0, 20, seed=11))
+    best = max(sum(ev.utility for ev in seq.events) for seq in db.sequences)
+    return db, Threshold(100 * best + 37, 100)
+
+
+def rows_of(db) -> list[list[tuple[str, int]]]:
+    token_of = db.items.token_of
+    return [[(token_of(ev.item), ev.utility) for ev in seq.events] for seq in db.sequences]
+
+
+def labeled(rules, db) -> list[tuple]:
+    token_of = db.items.token_of
+    return [
+        (tuple(map(token_of, r.antecedent)), tuple(map(token_of, r.consequent)), *r.key()[2:])
+        for r in rules
+    ]
+
+
+def counters(stats) -> dict:
+    fields = asdict(stats)
+    del fields["runtime_ms"]
+    return fields
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_scaling_utilities_and_minutil_scales_rule_utilities(base, variant):
+    db, minutil = base
+    c = 3
+    scaled_db = build_database([[(t, c * u) for t, u in row] for row in rows_of(db)])
+    scaled_minutil = Threshold(c * minutil.numerator, minutil.denominator)
+    rules, stats = mine(db, variant_config(variant, minutil, MINCONF))
+    scaled_rules, scaled_stats = mine(scaled_db, variant_config(variant, scaled_minutil, MINCONF))
+    assert rules
+    assert [r.key() for r in scaled_rules] == [
+        (r.antecedent, r.consequent, c * r.utility, r.support, r.antecedent_support) for r in rules
+    ]
+    assert counters(scaled_stats) == {**counters(stats), "minutil": asdict(scaled_minutil)}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_relabeling_and_shuffling_keeps_rules_and_counters(base, variant):
+    db, minutil = base
+    rng = random.Random(5)
+    tokens = list(db.items.tokens())
+    renamed = tokens[:]
+    rng.shuffle(renamed)
+    new_name = dict(zip(tokens, renamed))
+    rows = [[(new_name[t], u) for t, u in row] for row in rows_of(db)]
+    rng.shuffle(rows)
+    moved_db = build_database(rows)
+    rules, stats = mine(db, variant_config(variant, minutil, MINCONF))
+    moved_rules, moved_stats = mine(moved_db, variant_config(variant, minutil, MINCONF))
+    old_name = {new: old for old, new in new_name.items()}
+    read_back = [
+        (tuple(old_name[t] for t in x), tuple(old_name[t] for t in y), *facts)
+        for x, y, *facts in labeled(moved_rules, moved_db)
+    ]
+    assert rules
+    assert len(read_back) == len(set(read_back))
+    assert set(read_back) == set(labeled(rules, db))
+    assert counters(moved_stats) == counters(stats)
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_appending_a_low_utility_sequence_of_fresh_items_changes_no_rule(base, variant):
+    db, minutil = base
+    fresh = [(f"fresh{k}", 1) for k in range(8)]
+    assert sum(u for _, u in fresh) * minutil.denominator < minutil.numerator
+    grown_db = build_database(rows_of(db) + [fresh])
+    rules, _ = mine(db, variant_config(variant, minutil, MINCONF))
+    grown_rules, _ = mine(grown_db, variant_config(variant, minutil, MINCONF))
+    assert rules
+    assert [r.key() for r in grown_rules] == [r.key() for r in rules]
+
+
+def test_every_variant_mines_the_same_rules(base):
+    db, minutil = base
+    results = {name: mine(db, variant_config(name, minutil, MINCONF)) for name in sorted(VARIANTS)}
+    keys = {name: [r.key() for r in rules] for name, (rules, _) in results.items()}
+    assert keys["rsc"]
+    for name, got in keys.items():
+        assert len(got) == len(set(got)), name
+        assert set(got) == set(keys["rsc"]), name
+    # The ablations really change the search on this input.
+    candidates = {name: stats.candidates for name, (_, stats) in results.items()}
+    assert len(set(candidates.values())) == len(VARIANTS)

@@ -162,6 +162,8 @@ def test_variant_configs():
     assert variant_config("rscp", minutil, minconf).use_rrs_prune is False
     assert variant_config("rscr", minutil, minconf).use_rru is False
     assert variant_config("rsc", minutil, minconf).use_rru is True
+    with pytest.raises(ValueError, match="unknown variant 'bogus'; choose from"):
+        variant_config("bogus", minutil, minconf)
 
 
 def test_dedup_flag_mines_the_deduped_database(sample_db):

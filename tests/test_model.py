@@ -59,7 +59,9 @@ def test_threshold_parsing():
     assert Threshold.from_string("1") == Threshold(1, 1)
     assert Threshold.from_string(".5") == Threshold(5, 10)
     assert Threshold.from_string("5.") == Threshold(5, 1)
-    for bad in ("", ".", "-0.1", "1e-3", "1.2.3", "abc"):
+    # Arabic-Indic and fullwidth digits match \d; the input parsers refuse them too.
+    non_ascii = ("\u0663.\u0665", "\uff11", "\uff10.\uff19", "1\u0660", "0.\u0669")
+    for bad in ("", ".", "-0.1", "1e-3", "1.2.3", "abc", *non_ascii):
         with pytest.raises(ValueError):
             Threshold.from_string(bad)
 
