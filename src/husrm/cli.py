@@ -5,7 +5,7 @@ Exit codes: 0 success, 1 internal invariant or cross-check failure,
 2 usage or input parse error, 3 reference enumeration hit its length cap
 (verification inconclusive). Every run echoes its fully resolved
 configuration on stderr, before checking it, so results are
-reproducible from logs alone.
+reproducible from logs alone, rejected runs included.
 """
 
 import statistics
@@ -165,6 +165,20 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    _echo_config(
+        {
+            "command": "gen",
+            "sequences": args.sequences,
+            "alphabet": args.alphabet,
+            "avg_len": args.avg_len,
+            "max_len": args.max_len,
+            "util_min": args.util_min,
+            "util_max": args.util_max,
+            "skew": args.skew,
+            "seed": args.seed,
+            "out": args.out or "-",
+        }
+    )
     params = GenParams(
         num_sequences=args.sequences,
         alphabet_size=args.alphabet,
@@ -174,20 +188,6 @@ def _cmd_gen(args) -> int:
         utility_max=args.util_max,
         item_skew=args.skew,
         seed=args.seed,
-    )
-    _echo_config(
-        {
-            "command": "gen",
-            "sequences": params.num_sequences,
-            "alphabet": params.alphabet_size,
-            "avg_len": params.avg_length,
-            "max_len": params.max_length,
-            "util_min": params.utility_min,
-            "util_max": params.utility_max,
-            "skew": params.item_skew,
-            "seed": params.seed,
-            "out": args.out or "-",
-        }
     )
     db = generate(params)
     with _out_stream(args.out) as stream:
@@ -215,13 +215,13 @@ def _cmd_stats(args) -> int:
 
 def _cmd_bench(args) -> int:
     names = [name.strip() for name in args.variants.split(",") if name.strip()]
+    db, minutil, minconf = _load_and_echo(
+        args, dedup=args.dedup, variants=",".join(names), repeat=args.repeat
+    )
     if not names:
         raise ValueError("no variants given")
     if args.repeat < 1:
         raise ValueError("repeat must be positive")
-    db, minutil, minconf = _load_and_echo(
-        args, dedup=args.dedup, variants=",".join(names), repeat=args.repeat
-    )
     configs = [variant_config(name, minutil, minconf, dedup=args.dedup) for name in names]
     results = {}
     for name, cfg in zip(names, configs):
@@ -248,6 +248,7 @@ def _cmd_bench(args) -> int:
         print(f"candidates={stats.candidates}")
         print(f"srtgrowth_calls={stats.candidates}")
         print(f"rrs_prunes={stats.rrs_prunes}")
+        print(f"view_prunes={stats.view_prunes}")
         print(f"rules={stats.rules}")
         print(f"median_runtime_ms={med:.1f}")
         print()

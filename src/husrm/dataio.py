@@ -285,3 +285,4 @@ def write_stats(stats, stream: TextIO) -> None:
     stream.write(f"srtgrowth_calls={stats.candidates}\n")
     stream.write(f"rrs_prunes={stats.rrs_prunes}\n")
     stream.write(f"runtime_ms={stats.runtime_ms}\n")
+    stream.write(f"view_prunes={stats.view_prunes}\n")

@@ -15,11 +15,15 @@ The walk is serial and iterative: one loop keeps a stack of child-row
 iterators beside the path table, so path depth is bounded by memory, not
 by the interpreter's recursion limit.
 
+A child passes two gates before it is pushed: the paper's rrs bound,
+checked on the aggregates of the first scan phase, then the view bound
+(see srt), checked once the child's occurrences and view are rebuilt.
 Ablation switches mirror the benchmark variant names: rscn disables the
-early item prune, rscp disables the extension-bound gate, rscr swaps the
+early item prune, rscp disables both extension gates, rscr swaps the
 reduced suffix bound for the raw one. The successor sets are on in every
 variant; the rrs_prunes counter counts only the extensions they let
-through that the gate then drops.
+through that the rrs gate then drops, and view_prunes the ones the view
+bound drops after that.
 """
 
 import time
@@ -101,6 +105,7 @@ class MiningStats:
     rrs_prunes: int = 0
     rules: int = 0
     runtime_ms: int = 0
+    view_prunes: int = 0
 
 
 def find_cut_start(supports: Seq[int], sup_n: int, minconf: Threshold) -> int:
@@ -159,7 +164,8 @@ def rule_produce(srt: SequenceRecordTable, cfg: MiningConfig, sink: RuleSink) ->
 def _extensions(
     ult: UtilityTable, srt: SequenceRecordTable, cfg: MiningConfig, stats: MiningStats
 ) -> list[SrtRow]:
-    """Child rows of the current path, gated on rrs unless rscp is in effect."""
+    """Child rows of the current path, gated on rrs and the view bound unless
+    rscp is in effect; the view-bound drops accumulate on srt."""
     if cfg.use_rrs_prune:
         rows, pruned = scan_extensions_gated(ult, srt, cfg.minutil)
         stats.rrs_prunes += pruned
@@ -217,6 +223,7 @@ def mine(db: SequenceDatabase, cfg: MiningConfig) -> tuple[list[Rule], MiningSta
                 srt.pop_row()
             else:
                 pending.append(iter(srt_growth(ult, srt, row, cfg, sink, stats)))
+    stats.view_prunes = srt.view_prunes
     stats.rules = len(rules)
     stats.runtime_ms = int((time.perf_counter() - start) * 1000)
     return rules, stats

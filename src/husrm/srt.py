@@ -31,6 +31,17 @@ each child view by filtering the parent's view, from the child's first
 end on, with the child's successor set. Ungated callers simply
 materialize every candidate.
 
+A gated scan checks each survivor twice. Before phase two it checks the
+paper's rrs bound. After phase two it checks the child's view bound
+B = until_utility + the sum of the utilities at the child's view
+positions, and drops the child when B falls below minutil. Every
+extension of the child that can still reach minutil adds only items of
+its candidate set, at distinct positions after the end where the child's
+item sits; those positions are all in the child's view, so no such
+extension is worth more in a sequence than the sequence's best entry
+plus its view sum. B is also at least until_utility, so the child's own
+rules are never lost. The sum costs one add per kept view position.
+
 One table holds the path the search is growing, and the miner reuses it
 from one top-level item to the next; the utility table it reads is
 immutable.
@@ -100,14 +111,20 @@ class _ScanScratch:
 
 
 class SequenceRecordTable:
-    """Stack of rows for one depth-first path."""
+    """Stack of rows for one depth-first path.
 
-    __slots__ = ("rows", "item_set", "scratch")
+    view_prunes counts, over every gated scan of this table, the
+    candidates that passed the rrs gate but whose view bound fell below
+    minutil.
+    """
+
+    __slots__ = ("rows", "item_set", "scratch", "view_prunes")
 
     def __init__(self) -> None:
         self.rows: list[SrtRow] = []
         self.item_set: set[int] = set()
         self.scratch: _ScanScratch | None = None
+        self.view_prunes = 0
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -248,11 +265,15 @@ def _scan(
         g_until[it] += s_best[it]
         g_rrs[it] += s_bound[it]
 
-    # Phase two: gate, then rebuild occurrence entries and views only for
-    # survivors, finding their sequences through the item index. The
-    # walk over the parent's occurrences stops at the sup-th one found.
+    # Phase two: gate on rrs, then rebuild occurrence entries and views
+    # only for survivors, finding their sequences through the item index,
+    # and gate again on the view bound. The walk over the parent's
+    # occurrences stops at the sup-th one found. Summed over sequences,
+    # the best new entry utilities are the item's until_utility, so
+    # only the view utilities (tail) need adding up here.
     out: list[SrtRow] = []
     pruned = 0
+    view_pruned = 0
     gated = minutil is not None
     if gated:
         num = minutil.numerator
@@ -267,6 +288,7 @@ def _scan(
         positions_by_sid = item_positions[it]
         succ = successors[it]
         sup = g_sup[it]
+        tail = 0
         occ_rows: list[SeqOccurrences] = []
         for occ in occurrences:
             sid = occ.sid
@@ -297,10 +319,16 @@ def _scan(
                 for k in view[bisect_left(view, pos_idx[lo] + 1) :]:
                     if items_s[k] in succ:
                         child.append(k)
+                        tail += utils_s[k]
             occ_rows.append(SeqOccurrences(sid, ents_out, tuple(child)))
             if len(occ_rows) == sup:
                 break
-        out.append(SrtRow(it, occ_rows, sup, g_until[it], rrs))
+        until = g_until[it]
+        if gated and (until + tail) * den < num:
+            view_pruned += 1
+            continue
+        out.append(SrtRow(it, occ_rows, sup, until, rrs))
+    srt.view_prunes += view_pruned
     return out, pruned
 
 
@@ -319,5 +347,7 @@ def scan_extensions_gated(
     ult: UtilityTable, srt: SequenceRecordTable, minutil: Threshold
 ) -> tuple[list[SrtRow], int]:
     """scan_extensions, but candidates whose rrs falls below minutil are
-    dropped before their rows are materialized; returns the drop count."""
+    dropped before their rows are materialized, and materialized rows
+    whose view bound falls below minutil are dropped after; returns the
+    rrs drop count and adds the view-bound drops to srt.view_prunes."""
     return _scan(ult, srt, minutil)

@@ -73,6 +73,16 @@ def make_random_db(seed: int) -> SequenceDatabase:
     return build_database(rows)
 
 
+def view_bound(ult, row) -> int:
+    """The scan's view bound of a row, from its entries and views: per
+    sequence, the best entry utility plus the utilities at the view's
+    positions."""
+    return sum(
+        max(u for _, u in occ.entries) + sum(ult.seq_utils[occ.sid][k] for k in occ.view)
+        for occ in row.occurrences
+    )
+
+
 def canon(rules) -> set[tuple]:
     return {rule.key() for rule in rules}
 

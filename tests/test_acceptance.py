@@ -22,7 +22,7 @@ from husrm.oracle import (
 from husrm.srt import SequenceRecordTable, init_row, scan_extensions
 from husrm.ult import build_ult
 
-from conftest import SAMPLE_NATIVE, SAMPLE_ROWS, canon, make_random_db, thr
+from conftest import SAMPLE_NATIVE, SAMPLE_ROWS, canon, make_random_db, thr, view_bound
 
 DELTAS = ("0.01", "0.05", "0.1", "0.3")
 MINCONFS = ("0.4", "0.6", "0.8", "1.0")
@@ -165,7 +165,10 @@ def test_criterion_4_pruning_soundness(corpus):
 
 
 def max_descendant_utility(db, ult, srt, prefix):
-    """Largest exact pattern utility over all strict extensions of prefix."""
+    """Largest exact pattern utility over all strict extensions of prefix.
+
+    Checks on the way that each child's rrs covers its own utility and
+    its view bound covers both that and its best descendant's."""
     best = -1
     for row in scan_extensions(ult, srt):
         util = 0
@@ -177,6 +180,7 @@ def max_descendant_utility(db, ult, srt, prefix):
         srt.push_row(row)
         deeper = max_descendant_utility(db, ult, srt, prefix + (row.item,))
         srt.pop_row()
+        assert view_bound(ult, row) >= max(util, deeper), (prefix, row.item)
         best = max(best, util, deeper)
     return best
 
@@ -192,7 +196,9 @@ def test_criterion_5_bound_properties(corpus):
                 if duplicate_free:
                     assert lo == hi
 
-    # bound soundness of every reachable row, exhaustively at desk scale
+    # Soundness of rrs and of the view bound at every reachable row,
+    # exhaustively at desk scale. The table is built at minutil 0, so the
+    # successor sets block nothing and the ungated walk reaches every path.
     for db in [build_database(SAMPLE_ROWS)] + corpus[:150]:
         ult = build_ult(db)
         for item in ult.item_positions:
@@ -200,6 +206,7 @@ def test_criterion_5_bound_properties(corpus):
             row = init_row(ult, item)
             srt.push_row(row)
             best_ext = max_descendant_utility(db, ult, srt, (item,))
+            assert view_bound(ult, row) >= max(row.until_utility, best_ext)
             if best_ext >= 0:
                 assert row.rrs >= best_ext
     print("acceptance criterion 5 (bound properties): PASS")

@@ -131,10 +131,18 @@ def test_config_echo_of_every_command(sample_path, tmp_path, capsys):
         (["oracle", "--max-len", "1"], "max_len must be at least 2"),
         (["verify", "--max-len", "1"], "max_len must be at least 2"),
         (["bench", "--variants", "rsc,bogus"], "unknown variant 'bogus'"),
+        (["bench", "--variants", ","], "no variants given"),
+        (["bench", "--repeat", "0"], "repeat must be positive"),
+        (
+            ["gen", "--sequences", "5", "--alphabet", "0", "--avg-len", "4", "--max-len", "12"],
+            "alphabet_size must be at least 1",
+        ),
     ],
 )
 def test_every_command_echoes_its_config_before_rejecting_it(sample_path, capsys, argv, message):
-    assert cli.main([argv[0], sample_path, "--delta", "0.1", *argv[1:]]) == 2
+    if argv[0] != "gen":
+        argv = [argv[0], sample_path, "--delta", "0.1", *argv[1:]]
+    assert cli.main(argv) == 2
     err = capsys.readouterr().err
     lines = err.splitlines()
     assert len(config_lines(err)) == len(lines) - 1 > 5
@@ -347,6 +355,12 @@ def test_bench_all_variants(sample_path, capsys):
     assert counters["rsc"] <= counters["rscp"]
     assert counters["rsc"] <= counters["rscn"]
     assert counters["rsc"] <= counters["rscr"]
+    blocks = [block.splitlines() for block in out.strip().split("\n\n")]
+    assert [[line.split("=")[0] for line in block] for block in blocks] == [
+        ["variant", "candidates", "srtgrowth_calls", "rrs_prunes", "view_prunes", "rules",
+         "median_runtime_ms"]
+    ] * 4
+    assert "rrs_prunes=0" in blocks[2] and "view_prunes=0" in blocks[2]  # rscp: no gate
 
 
 def test_bench_empty_database(tmp_path, capsys):

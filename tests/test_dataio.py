@@ -314,6 +314,7 @@ def test_write_stats_contract(sample_db):
         "srtgrowth_calls",
         "rrs_prunes",
         "runtime_ms",
+        "view_prunes",
     ]
 
     # identical runs differ at most in runtime_ms

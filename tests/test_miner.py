@@ -35,6 +35,7 @@ def test_sample_rule_set(sample_db):
     assert stats.rules == 4
     assert stats.candidates == 15
     assert stats.rrs_prunes == 1
+    assert stats.view_prunes == 0
     assert stats.sequences == 5
     assert stats.distinct_items == 6
     assert stats.items_after_pruning == 5
@@ -147,7 +148,7 @@ def test_disabling_gate_keeps_rules_and_grows_candidates(sample_db):
     rules_ungated, stats_ungated = mine_sample(sample_db, use_rrs_prune=False)
     assert canon(rules) == canon(rules_ungated)
     assert stats.candidates <= stats_ungated.candidates
-    assert stats_ungated.rrs_prunes == 0
+    assert stats_ungated.rrs_prunes == stats_ungated.view_prunes == 0
 
 
 def test_seu_form_flag_changes_nothing_on_rules(sample_db):

@@ -18,7 +18,7 @@ from husrm.srt import (
 )
 from husrm.ult import build_ult
 
-from conftest import make_random_db
+from conftest import make_random_db, view_bound
 
 
 def rows_view(row):
@@ -175,15 +175,54 @@ def test_push_checks_survive_optimized_mode():
     assert proc.returncode == 0, proc.stderr
 
 
+def check_gated_against_ungated(ult, srt, minutil):
+    """The gated scan keeps exactly the ungated rows whose rrs and view
+    bound both reach minutil, and counts the rest under the gate that
+    dropped them. Returns the kept rows."""
+    num, den = minutil.numerator, minutil.denominator
+    every = scan_extensions(ult, srt)
+    before = srt.view_prunes
+    gated, pruned = scan_extensions_gated(ult, srt, minutil)
+    past_rrs = [r for r in every if r.rrs * den >= num]
+    kept = [r for r in past_rrs if view_bound(ult, r) * den >= num]
+    assert gated == kept
+    assert pruned == len(every) - len(past_rrs)
+    assert srt.view_prunes - before == len(past_rrs) - len(kept)
+    return gated
+
+
 def test_gated_scan_matches_ungated(sample_db):
     ult = build_ult(sample_db)
     srt = SequenceRecordTable()
-    srt.push_row(init_row(ult, sample_db.items.id_of("c")))
-    every = scan_extensions(ult, srt)
-    gated, pruned = scan_extensions_gated(ult, srt, Threshold(64, 10))
-    assert pruned == 1  # the low-bound extension by a (rrs 6 < 6.4)
-    kept = [(r.item, r.rrs) for r in gated]
-    assert kept == [(r.item, r.rrs) for r in every if r.rrs * 10 >= 64]
+    srt.push_row(init_row(ult, sample_db.items.id_of("b")))
+    kept = check_gated_against_ungated(ult, srt, Threshold(14, 1))
+    # Children of b as (rrs, view bound): c (33, 27) passes both gates,
+    # a (9, 9) falls to rrs, and e (19, 13) passes rrs but its view is
+    # empty, so its bound is its own utility, 13.
+    assert [sample_db.items.token_of(r.item) for r in kept] == ["c"]
+    assert srt.view_prunes == 1
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_gated_scan_matches_ungated_at_every_bound(seed):
+    # Thresholds sit exactly at each child's rrs and view bound and just
+    # past them, so a gate comparing the wrong way round fails here.
+    ult = build_ult(make_random_db(seed))
+
+    def check(srt):
+        children = scan_extensions(ult, srt)
+        for value in {v for row in children for v in (row.rrs, view_bound(ult, row))}:
+            for minutil in (Threshold(value, 1), Threshold(2 * value + 1, 2)):
+                check_gated_against_ungated(ult, srt, minutil)
+        for row in children if len(srt) < 4 else ():
+            srt.push_row(row)
+            check(srt)
+            srt.pop_row()
+
+    for item in ult.item_positions:
+        srt = SequenceRecordTable()
+        srt.push_row(init_row(ult, item))
+        check(srt)
 
 
 def walk_all_prefixes(db, max_len=6):
