@@ -111,30 +111,21 @@ def successor_sets(
     at once.
     """
     num, den = minutil.numerator, minutil.denominator
-    # The distinct-max utility (the seu term) of every sequence; only a
-    # sequence that repeats an item needs a set to count a suffix's items
-    # once.
+    # The distinct-max utility (the seu term) of every sequence.
     terms: dict[int, int] = {}
-    repeats: set[int] = set()
     for sid, items_s in seq_items.items():
-        utils_s = seq_utils[sid]
-        if len(set(items_s)) == len(items_s):
-            terms[sid] = sum(utils_s)
-        else:
-            maxima: dict[int, int] = {}
-            for it, u in zip(items_s, utils_s):
-                if u > maxima.get(it, -1):
-                    maxima[it] = u
-            terms[sid] = sum(maxima.values())
-            repeats.add(sid)
+        maxima: dict[int, int] = {}
+        for it, u in zip(items_s, seq_utils[sid]):
+            if u > maxima.get(it, -1):
+                maxima[it] = u
+        terms[sid] = sum(maxima.values())
     out: dict[int, frozenset[int]] = {}
     for x, positions_by_sid in item_positions.items():
         eu: dict[int, int] = {}
         get = eu.get
         for sid, positions in positions_by_sid.items():
             term = terms[sid]
-            after = seq_items[sid][positions[0] + 1 :]
-            for y in set(after) if sid in repeats else after:
+            for y in set(seq_items[sid][positions[0] + 1 :]):
                 eu[y] = get(y, 0) + term
         eu.pop(x, None)
         out[x] = frozenset([y for y, value in eu.items() if value * den >= num])

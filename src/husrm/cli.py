@@ -1,11 +1,12 @@
 """Command-line frontend: mining, reference verification, data
 generation, dataset stats, and ablation benchmarking.
 
-Exit codes: 0 success, 1 internal invariant or cross-check failure,
-2 usage or input parse error, 3 reference enumeration hit its length cap
-(verification inconclusive). Every run echoes its fully resolved
-configuration on stderr, before checking it, so results are
-reproducible from logs alone, rejected runs included.
+Exit codes: 0 success, 1 internal invariant or cross-check failure, or
+running out of memory or recursion depth, 2 usage or input parse error,
+3 reference enumeration hit its length cap (verification inconclusive).
+Every run echoes its fully resolved configuration on stderr, before
+checking it, so results are reproducible from logs alone, rejected runs
+included.
 """
 
 import statistics
@@ -15,9 +16,9 @@ import warnings
 from argparse import ArgumentParser
 from contextlib import contextmanager
 
-from .dataio import format_rule, load_database, write_native, write_rules, write_stats
+from .dataio import format_rule, half_up, load_database, write_native, write_rules, write_stats
 from .datagen import GenParams, generate
-from .miner import MiningConfig, mine, variant_config
+from .miner import VARIANTS, MiningConfig, mine, variant_config
 from .model import InvariantError, Rule, SequenceDatabase, Threshold
 from .oracle import MaxLenCapWarning, OracleConfig, oracle_mine
 
@@ -96,24 +97,9 @@ def _oracle_mine(db: SequenceDatabase, cfg: OracleConfig) -> tuple[list[Rule], b
 
 def _cmd_mine(args) -> int:
     db, minutil, minconf = _load_and_echo(
-        args,
-        dedup=args.dedup,
-        seu_prune=not args.no_seu_prune,
-        rrs_prune=not args.no_rrs_prune,
-        use_rru=not args.use_ru,
-        sort=args.sort,
-        out=args.out or "-",
-        stats=args.stats or "-",
+        args, dedup=args.dedup, sort=args.sort, out=args.out or "-", stats=args.stats or "-"
     )
-    cfg = MiningConfig(
-        minutil=minutil,
-        minconf=minconf,
-        use_seu_prune=not args.no_seu_prune,
-        use_rrs_prune=not args.no_rrs_prune,
-        use_rru=not args.use_ru,
-        dedup=args.dedup,
-    )
-    rules, stats = mine(db, cfg)
+    rules, stats = mine(db, MiningConfig(minutil, minconf, dedup=args.dedup))
     with _out_stream(args.out) as stream:
         write_rules(rules, db.items, stream, sort=args.sort)
     if args.stats is None:
@@ -200,11 +186,7 @@ def _cmd_stats(args) -> int:
     _echo_config({"command": "stats", "input": args.input, "format": args.format})
     n = len(db.sequences)
     total_events = sum(len(seq) for seq in db.sequences)
-    if n:
-        scaled = (200 * total_events + n) // (2 * n)
-        avg = f"{scaled // 100}.{scaled % 100:02d}"
-    else:
-        avg = "0.00"
+    avg = half_up(total_events, n, 2) if n else "0.00"
     print(f"sequences={n}")
     print(f"distinct_items={len(db.distinct_items())}")
     print(f"avg_events={avg}")
@@ -266,9 +248,6 @@ def build_parser() -> ArgumentParser:
     _add_input_args(p)
     _add_threshold_args(p)
     p.add_argument("--dedup", action="store_true", help="keep only the max-utility duplicate per item per sequence")
-    p.add_argument("--no-seu-prune", action="store_true", help="disable early item pruning")
-    p.add_argument("--no-rrs-prune", action="store_true", help="disable the extension-bound gate")
-    p.add_argument("--use-ru", action="store_true", help="use the raw suffix bound instead of the reduced one")
     p.add_argument("--sort", action="store_true", help="sort output by utility desc, then lexicographically")
     p.add_argument("--out", help="rule output path (default stdout)")
     p.add_argument("--stats", help="statistics output path (default stderr)")
@@ -302,7 +281,7 @@ def build_parser() -> ArgumentParser:
     p = sub.add_parser("bench", help="run ablation variants and compare counters")
     _add_input_args(p)
     _add_threshold_args(p)
-    p.add_argument("--variants", default="rsc,rscn,rscp,rscr", help="comma list of variants to run")
+    p.add_argument("--variants", default=",".join(VARIANTS), help="comma list of variants to run")
     p.add_argument("--repeat", type=int, default=1, help="repetitions per variant for the median runtime")
     p.add_argument("--dedup", action="store_true")
     p.set_defaults(func=_cmd_bench)
@@ -323,6 +302,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except InvariantError as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_INVARIANT
+    except RecursionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 
 

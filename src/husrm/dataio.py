@@ -231,10 +231,12 @@ def dedup_max_utility(db: SequenceDatabase) -> SequenceDatabase:
     return SequenceDatabase(out, db.items)
 
 
-def _conf_4dp(sup: int, ant_sup: int) -> str:
-    # round half up at 4 decimal places, in exact integer arithmetic
-    scaled = (20000 * sup + ant_sup) // (2 * ant_sup)
-    return f"{scaled // 10000}.{scaled % 10000:04d}"
+def half_up(num: int, den: int, places: int) -> str:
+    """num / den in decimal, rounded half up at places decimal places, in
+    exact integer arithmetic."""
+    scale = 10**places
+    whole, frac = divmod((2 * scale * num + den) // (2 * den), scale)
+    return f"{whole}.{str(frac).zfill(places)}"
 
 
 def format_rule(rule: Rule, items: ItemTable) -> str:
@@ -242,7 +244,7 @@ def format_rule(rule: Rule, items: ItemTable) -> str:
     cons = ",".join(items.token_of(i) for i in rule.consequent)
     return (
         f"{ant} ==> {cons} #UTIL: {rule.utility} #SUP: {rule.support}"
-        f" #CONF: {_conf_4dp(rule.support, rule.antecedent_support)}"
+        f" #CONF: {half_up(rule.support, rule.antecedent_support, 4)}"
     )
 
 

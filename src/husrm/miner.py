@@ -19,8 +19,9 @@ A child passes two gates before it is pushed: the paper's rrs bound,
 checked on the aggregates of the first scan phase, then the view bound
 (see srt), checked once the child's occurrences and view are rebuilt.
 Ablation switches mirror the benchmark variant names: rscn disables the
-early item prune, rscp disables both extension gates, rscr swaps the
-reduced suffix bound for the raw one. The successor sets are on in every
+early item prune, rscp runs both extension gates at minutil 0, where
+they drop nothing, rscr swaps the reduced suffix bound for the raw one.
+Every variant runs the same scan, and the successor sets are on in every
 variant; the rrs_prunes counter counts only the extensions they let
 through that the rrs gate then drops, and view_prunes the ones the view
 bound drops after that.
@@ -164,8 +165,8 @@ def rule_produce(srt: SequenceRecordTable, cfg: MiningConfig, sink: RuleSink) ->
 def _extensions(
     ult: UtilityTable, srt: SequenceRecordTable, cfg: MiningConfig, stats: MiningStats
 ) -> list[SrtRow]:
-    """Child rows of the current path, gated on rrs and the view bound unless
-    rscp is in effect; the view-bound drops accumulate on srt."""
+    """Child rows of the current path, gated on rrs and the view bound at
+    minutil, or at 0 under rscp; the view-bound drops accumulate on srt."""
     if cfg.use_rrs_prune:
         rows, pruned = scan_extensions_gated(ult, srt, cfg.minutil)
         stats.rrs_prunes += pruned

@@ -28,10 +28,9 @@ sequence. Phase two rebuilds the occurrence entries only for candidates
 that survive the caller's utility gate, finding their sequences through
 the utility table's item index (item -> sid -> positions), and builds
 each child view by filtering the parent's view, from the child's first
-end on, with the child's successor set. Ungated callers simply
-materialize every candidate.
+end on, with the child's successor set.
 
-A gated scan checks each survivor twice. Before phase two it checks the
+Every scan gates each candidate twice. Before phase two it checks the
 paper's rrs bound. After phase two it checks the child's view bound
 B = until_utility + the sum of the utilities at the child's view
 positions, and drops the child when B falls below minutil. Every
@@ -41,6 +40,8 @@ item sits; those positions are all in the child's view, so no such
 extension is worth more in a sequence than the sequence's best entry
 plus its view sum. B is also at least until_utility, so the child's own
 rules are never lost. The sum costs one add per kept view position.
+At minutil 0 neither gate can drop a row; scan_extensions scans there,
+and so does the rscp ablation.
 
 One table holds the path the search is growing, and the miner reuses it
 from one top-level item to the next; the utility table it reads is
@@ -113,9 +114,8 @@ class _ScanScratch:
 class SequenceRecordTable:
     """Stack of rows for one depth-first path.
 
-    view_prunes counts, over every gated scan of this table, the
-    candidates that passed the rrs gate but whose view bound fell below
-    minutil.
+    view_prunes counts, over every scan of this table, the candidates
+    that passed the rrs gate but whose view bound fell below minutil.
     """
 
     __slots__ = ("rows", "item_set", "scratch", "view_prunes")
@@ -186,9 +186,19 @@ def init_row(ult: UtilityTable, item: int) -> SrtRow:
     return SrtRow(item, occurrences, len(occurrences), until, rrs)
 
 
-def _scan(
-    ult: UtilityTable, srt: SequenceRecordTable, minutil: Threshold | None
+def scan_extensions_gated(
+    ult: UtilityTable, srt: SequenceRecordTable, minutil: Threshold
 ) -> tuple[list[SrtRow], int]:
+    """Find the one-item extensions of the current path that can reach minutil.
+
+    Returns ready rows in first-encounter order, and the count of
+    candidates dropped because their rrs fell below minutil before their
+    rows were materialized; materialized rows whose view bound falls
+    below minutil are dropped after, and counted in srt.view_prunes.
+    Each row's item and rrs name the extension and its bound. Items
+    already on the path (rules cannot repeat items) and items the
+    successor sets block are not in the views, so they are never found.
+    """
     last = srt.rows[-1]
     scratch = srt.scratch
     if scratch is None or scratch.size < ult.n_item_ids:
@@ -274,15 +284,13 @@ def _scan(
     out: list[SrtRow] = []
     pruned = 0
     view_pruned = 0
-    gated = minutil is not None
-    if gated:
-        num = minutil.numerator
-        den = minutil.denominator
+    num = minutil.numerator
+    den = minutil.denominator
     item_positions = ult.item_positions
     successors = ult.successors
     for it in order:
         rrs = g_rrs[it]
-        if gated and rrs * den < num:
+        if rrs * den < num:
             pruned += 1
             continue
         positions_by_sid = item_positions[it]
@@ -324,7 +332,7 @@ def _scan(
             if len(occ_rows) == sup:
                 break
         until = g_until[it]
-        if gated and (until + tail) * den < num:
+        if (until + tail) * den < num:
             view_pruned += 1
             continue
         out.append(SrtRow(it, occ_rows, sup, until, rrs))
@@ -333,21 +341,6 @@ def _scan(
 
 
 def scan_extensions(ult: UtilityTable, srt: SequenceRecordTable) -> list[SrtRow]:
-    """Find every one-item extension of the current path in its candidate set.
-
-    Returns ready rows in first-encounter order; each row's item and rrs
-    name the extension and its bound. Items already on the path (rules
-    cannot repeat items) and items the successor sets block are not in
-    the views, so they are never found.
-    """
-    return _scan(ult, srt, None)[0]
-
-
-def scan_extensions_gated(
-    ult: UtilityTable, srt: SequenceRecordTable, minutil: Threshold
-) -> tuple[list[SrtRow], int]:
-    """scan_extensions, but candidates whose rrs falls below minutil are
-    dropped before their rows are materialized, and materialized rows
-    whose view bound falls below minutil are dropped after; returns the
-    rrs drop count and adds the view-bound drops to srt.view_prunes."""
-    return _scan(ult, srt, minutil)
+    """Every one-item extension of the current path in its candidate set:
+    scan_extensions_gated at minutil 0, where neither gate drops a row."""
+    return scan_extensions_gated(ult, srt, Threshold(0, 1))[0]

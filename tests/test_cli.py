@@ -1,7 +1,7 @@
 import pytest
 
 from husrm import cli
-from husrm.miner import mine as real_mine
+from husrm.miner import VARIANTS, mine as real_mine
 from husrm.model import InvariantError
 
 from conftest import SAMPLE_NATIVE, deep_path_rows
@@ -92,19 +92,10 @@ def test_config_echo_of_every_command(sample_path, tmp_path, capsys):
     out, stats = tmp_path / "rules.txt", tmp_path / "stats.txt"
     assert echoed(
         ["mine", sample_path, "--delta", "0.1", "--dedup", "--sort", "--out", str(out), "--stats", str(stats)]
-    ) == sample_config(sample_path, "mine") + [
-        "dedup=true", "seu_prune=true", "rrs_prune=true", "use_rru=true",
-        "sort=true", f"out={out}", f"stats={stats}",
+    ) == sample_config(sample_path, "mine") + ["dedup=true", "sort=true", f"out={out}", f"stats={stats}"]
+    assert echoed(["mine", sample_path, "--delta", "0.1"]) == sample_config(sample_path, "mine") + [
+        "dedup=false", "sort=false", "out=-", "stats=-",
     ]
-    mine_defaults = [
-        "dedup=false", "seu_prune=true", "rrs_prune=true", "use_rru=true", "sort=false", "out=-", "stats=-",
-    ]
-    for flag, index in [("--no-seu-prune", 1), ("--no-rrs-prune", 2), ("--use-ru", 3)]:
-        expected = mine_defaults[:]
-        expected[index] = expected[index].replace("=true", "=false")
-        assert echoed(["mine", sample_path, "--delta", "0.1", flag]) == (
-            sample_config(sample_path, "mine") + expected
-        )
     assert echoed(["oracle", sample_path, "--minutil", "6.4", "--minconf", "0.75"]) == sample_config(
         sample_path, "oracle", minconf="75/100"
     ) + ["max_len=8", "out=-"]
@@ -217,9 +208,11 @@ def test_mine_is_deterministic_across_runs(sample_path, tmp_path):
 
 
 def test_threads_flag_is_rejected(sample_path):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["mine", sample_path, "--delta", "0.1", "--threads", "2"])
-    assert exc.value.code == 2
+    # Mining is serial, and ablations run only as bench variants.
+    for flag in (["--threads", "2"], ["--no-seu-prune"], ["--no-rrs-prune"], ["--use-ru"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["mine", sample_path, "--delta", "0.1", *flag])
+        assert exc.value.code == 2
 
 
 
@@ -267,6 +260,26 @@ def test_invariant_failure_exits_1(sample_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "mine", failing_mine)
     assert cli.main(["mine", sample_path, "--delta", "0.1"]) == 1
     assert "internal invariant failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, target, error, message",
+    [
+        ("mine", "mine", MemoryError(), "error: out of memory"),
+        ("oracle", "oracle_mine", RecursionError("maximum recursion depth exceeded"),
+         "error: maximum recursion depth exceeded"),
+    ],
+    ids=["mine-out-of-memory", "oracle-out-of-recursion-depth"],
+)
+def test_resource_exhaustion_exits_1(sample_path, capsys, monkeypatch, command, target, error, message):
+    def exhausted(*args):
+        raise error
+
+    monkeypatch.setattr(cli, target, exhausted)
+    assert cli.main([command, sample_path, "--delta", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if not line.startswith("[config] ")] == [message]
 
 
 def test_verify_generated_database(tmp_path, capsys):
@@ -342,6 +355,10 @@ def test_bench_all_variants(sample_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "rules=4" in out
+    # Every variant runs by default, in the miner's order.
+    assert cli.build_parser().parse_args(["bench", sample_path, "--delta", "0.1"]).variants.split(",") == (
+        list(VARIANTS)
+    )
     for name in ("rsc", "rscn", "rscp", "rscr"):
         assert f"variant={name}" in out
     # parse per-variant candidate counters
