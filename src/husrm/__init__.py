@@ -27,7 +27,6 @@ from .miner import (
     mine,
     rule_produce,
     srt_growth,
-    variant_config,
 )
 from .model import (
     Event,
@@ -42,7 +41,6 @@ from .model import (
     confidence_at_least,
 )
 from .oracle import (
-    MaxLenCapWarning,
     OracleConfig,
     PositionRef,
     max_embedding_utility,
@@ -62,7 +60,6 @@ __all__ = [
     "GenParams",
     "InvariantError",
     "ItemTable",
-    "MaxLenCapWarning",
     "MiningConfig",
     "MiningStats",
     "OracleConfig",
@@ -102,7 +99,6 @@ __all__ = [
     "seu_per_item",
     "srt_growth",
     "support_of",
-    "variant_config",
     "write_native",
     "write_rules",
     "write_stats",

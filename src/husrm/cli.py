@@ -12,15 +12,14 @@ included.
 import statistics
 import sys
 import time
-import warnings
 from argparse import ArgumentParser
 from contextlib import contextmanager
 
 from .dataio import format_rule, half_up, load_database, write_native, write_rules, write_stats
 from .datagen import GenParams, generate
-from .miner import VARIANTS, MiningConfig, mine, variant_config
-from .model import InvariantError, Rule, SequenceDatabase, Threshold
-from .oracle import MaxLenCapWarning, OracleConfig, oracle_mine
+from .miner import VARIANTS, MiningConfig, mine
+from .model import InvariantError, SequenceDatabase, Threshold
+from .oracle import OracleConfig, oracle_mine
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -87,14 +86,6 @@ def _load_and_echo(args, **own) -> tuple[SequenceDatabase, Threshold, Threshold]
     return db, minutil, minconf
 
 
-def _oracle_mine(db: SequenceDatabase, cfg: OracleConfig) -> tuple[list[Rule], bool]:
-    """oracle_mine's rules, and whether some pattern hit the length cap."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rules = oracle_mine(db, cfg)
-    return rules, any(issubclass(w.category, MaxLenCapWarning) for w in caught)
-
-
 def _cmd_mine(args) -> int:
     db, minutil, minconf = _load_and_echo(
         args, dedup=args.dedup, sort=args.sort, out=args.out or "-", stats=args.stats or "-"
@@ -112,7 +103,7 @@ def _cmd_mine(args) -> int:
 
 def _cmd_oracle(args) -> int:
     db, minutil, minconf = _load_and_echo(args, max_len=args.max_len, out=args.out or "-")
-    rules, cap_hit = _oracle_mine(db, OracleConfig(minutil, minconf, args.max_len))
+    rules, cap_hit = oracle_mine(db, OracleConfig(minutil, minconf, args.max_len))
     with _out_stream(args.out) as stream:
         write_rules(rules, db.items, stream)
     if cap_hit:
@@ -126,7 +117,7 @@ def _cmd_verify(args) -> int:
     cfg = MiningConfig(minutil=minutil, minconf=minconf)
     oracle_cfg = OracleConfig(minutil, minconf, args.max_len)
     mined, _stats = mine(db, cfg)
-    expected, cap_hit = _oracle_mine(db, oracle_cfg)
+    expected, cap_hit = oracle_mine(db, oracle_cfg)
     mined_keys = {r.key(): r for r in mined}
     expected_keys = {r.key(): r for r in expected}
     only_miner = sorted(set(mined_keys) - set(expected_keys))
@@ -202,9 +193,12 @@ def _cmd_bench(args) -> int:
     )
     if not names:
         raise ValueError("no variants given")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"repeated variant {', '.join(map(repr, repeated))}")
     if args.repeat < 1:
         raise ValueError("repeat must be positive")
-    configs = [variant_config(name, minutil, minconf, dedup=args.dedup) for name in names]
+    configs = [MiningConfig(minutil, minconf, variant=name, dedup=args.dedup) for name in names]
     results = {}
     for name, cfg in zip(names, configs):
         runtimes = []

@@ -18,7 +18,7 @@ by the interpreter's recursion limit.
 A child passes two gates before it is pushed: the paper's rrs bound,
 checked on the aggregates of the first scan phase, then the view bound
 (see srt), checked once the child's occurrences and view are rebuilt.
-Ablation switches mirror the benchmark variant names: rscn disables the
+MiningConfig.variant names the benchmark variant: rscn disables the
 early item prune, rscp runs both extension gates at minutil 0, where
 they drop nothing, rscr swaps the reduced suffix bound for the raw one.
 Every variant runs the same scan, and the successor sets are on in every
@@ -53,17 +53,12 @@ from .ult import UtilityTable, build_ult
 
 RuleSink = Callable[[Rule], None]
 
-VARIANTS: dict[str, dict[str, bool]] = {
-    "rsc": {},
-    "rscn": {"use_seu_prune": False},
-    "rscp": {"use_rrs_prune": False},
-    "rscr": {"use_rru": False},
-}
+VARIANTS = ("rsc", "rscn", "rscp", "rscr")
 
 
 @dataclass(slots=True)
 class MiningConfig:
-    """Thresholds plus ablation knobs.
+    """Thresholds plus the benchmark variant to run.
 
     minutil must already be the absolute threshold; when the caller
     starts from a ratio delta it multiplies by the total utility of the
@@ -72,9 +67,7 @@ class MiningConfig:
 
     minutil: Threshold
     minconf: Threshold
-    use_seu_prune: bool = True
-    use_rrs_prune: bool = True
-    use_rru: bool = True
+    variant: str = "rsc"
     dedup: bool = False
     seu_distinct_max: bool = True
     # Mining is serial; only 1 is accepted. Kept because the benchmark's
@@ -82,18 +75,23 @@ class MiningConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}; choose from {sorted(VARIANTS)}")
         check_minconf(self.minconf)
         if self.threads != 1:
             raise ValueError("threads must be 1: mining is serial")
 
+    @property
+    def use_seu_prune(self) -> bool:
+        return self.variant != "rscn"
 
-def variant_config(name: str, minutil: Threshold, minconf: Threshold, **overrides) -> MiningConfig:
-    """Config for one named benchmark variant; ValueError for an unknown name."""
-    if name not in VARIANTS:
-        raise ValueError(f"unknown variant {name!r}; choose from {sorted(VARIANTS)}")
-    fields = dict(VARIANTS[name])
-    fields.update(overrides)
-    return MiningConfig(minutil=minutil, minconf=minconf, **fields)
+    @property
+    def use_rrs_prune(self) -> bool:
+        return self.variant != "rscp"
+
+    @property
+    def use_rru(self) -> bool:
+        return self.variant != "rscr"
 
 
 @dataclass(slots=True)

@@ -13,7 +13,6 @@ defined here, straight from their definitions, as the reference the
 miner's one-pass bound computations are checked against.
 """
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,10 +26,6 @@ from .model import (
     compare_at_least,
     confidence_at_least,
 )
-
-
-class MaxLenCapWarning(UserWarning):
-    """Pattern enumeration stopped at the length cap; results may be truncated."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,11 +131,14 @@ def rru_sum_per_item(db: SequenceDatabase) -> dict[int, int]:
     return totals
 
 
-def oracle_mine(db: SequenceDatabase, cfg: OracleConfig) -> list[Rule]:
-    """Every rule meeting both thresholds, definitionally, canonically sorted.
+def oracle_mine(db: SequenceDatabase, cfg: OracleConfig) -> tuple[list[Rule], bool]:
+    """Every rule meeting both thresholds, definitionally, canonically sorted,
+    and whether the enumeration was truncated: some pattern at the length
+    cap still had extensions, so longer rules may be missing.
 
-    Warns with MaxLenCapWarning when some pattern at the length cap still
-    had extensions, so truncated runs are visible rather than silent.
+    The enumeration recurses once per pattern item and visits every
+    distinct-item subpattern, so it is exponential in the longest pattern
+    and meant for small inputs.
     """
     seqs = db.sequences
     rules: list[Rule] = []
@@ -200,11 +198,5 @@ def oracle_mine(db: SequenceDatabase, cfg: OracleConfig) -> list[Rule]:
                     break
         visit((item,), frozenset((item,)), proj, (len(proj),))
 
-    if truncated:
-        warnings.warn(
-            "pattern enumeration hit the length cap; the rule set may be truncated",
-            MaxLenCapWarning,
-            stacklevel=2,
-        )
     rules.sort(key=lambda r: (r.antecedent, r.consequent))
-    return rules
+    return rules, truncated

@@ -9,7 +9,7 @@ import pytest
 
 from husrm import cli
 from husrm.datagen import GenParams, generate
-from husrm.miner import MiningConfig, mine, variant_config
+from husrm.miner import MiningConfig, mine
 from husrm.model import build_database
 from husrm.oracle import (
     OracleConfig,
@@ -127,7 +127,7 @@ def test_criterion_3_reference_equivalence(corpus, grid_results):
             minutil = thr(delta).times(db.total_utility)
             for conf in MINCONFS:
                 expected = canon(
-                    oracle_mine(db, OracleConfig(minutil, thr(conf), max_len=8))
+                    oracle_mine(db, OracleConfig(minutil, thr(conf), max_len=8))[0]
                 )
                 assert grid_results[i, delta, conf] == expected, (i, delta, conf)
     elapsed = time.perf_counter() - start
@@ -149,7 +149,7 @@ def test_criterion_4_pruning_soundness(corpus):
         minutil = thr("0.05").times(db.total_utility)
         minconf = thr("0.6")
         runs = {
-            name: mine(db, variant_config(name, minutil, minconf))
+            name: mine(db, MiningConfig(minutil, minconf, variant=name))
             for name in ("rsc", "rscn", "rscp", "rscr")
         }
         base = canon(runs["rsc"][0])

@@ -128,6 +128,7 @@ def test_config_echo_of_every_command(sample_path, tmp_path, capsys):
             ["gen", "--sequences", "5", "--alphabet", "0", "--avg-len", "4", "--max-len", "12"],
             "alphabet_size must be at least 1",
         ),
+        (["bench", "--variants", "rsc,rscr,rsc"], "repeated variant 'rsc'"),
     ],
 )
 def test_every_command_echoes_its_config_before_rejecting_it(sample_path, capsys, argv, message):

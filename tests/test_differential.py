@@ -4,19 +4,18 @@ Two shapes the small corpus rarely reaches: duplicate-heavy databases
 (alphabet 2-3, items repeating inside every sequence) and long ones
 (20-30 events). Every ablation variant, with and without duplicate
 removal, must give exactly the oracle's rule set. The oracle's length
-cap is the alphabet size, which no rule can exceed, and a cap warning
-fails the test.
+cap is the alphabet size, which no rule can exceed, and a truncated
+enumeration fails the test.
 """
 
 import random
-import warnings
 
 import pytest
 
 from husrm.dataio import dedup_max_utility
-from husrm.miner import VARIANTS, mine, variant_config
+from husrm.miner import VARIANTS, MiningConfig, mine
 from husrm.model import build_database
-from husrm.oracle import MaxLenCapWarning, OracleConfig, oracle_mine
+from husrm.oracle import OracleConfig, oracle_mine
 
 from conftest import canon, thr
 
@@ -42,9 +41,9 @@ def long_db(seed: int):
 
 
 def oracle_rules(db, minutil, minconf, alphabet: int):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", MaxLenCapWarning)
-        return canon(oracle_mine(db, OracleConfig(minutil, minconf, max(2, alphabet))))
+    rules, truncated = oracle_mine(db, OracleConfig(minutil, minconf, max(2, alphabet)))
+    assert not truncated
+    return canon(rules)
 
 
 def check_against_oracle(db, delta: str, minconf: str) -> None:
@@ -57,7 +56,7 @@ def check_against_oracle(db, delta: str, minconf: str) -> None:
     }
     for name in VARIANTS:
         for dedup in (False, True):
-            rules, _ = mine(db, variant_config(name, minutil, conf, dedup=dedup))
+            rules, _ = mine(db, MiningConfig(minutil, conf, variant=name, dedup=dedup))
             assert canon(rules) == expected[dedup], (name, dedup)
 
 

@@ -14,7 +14,7 @@ import pytest
 import husrm.miner as miner
 from husrm.datagen import GenParams, generate
 from husrm.dataio import ParseError, load_database, parse_native, parse_spmf, write_native
-from husrm.miner import VARIANTS, mine, variant_config
+from husrm.miner import VARIANTS, MiningConfig, mine
 from husrm.model import InvariantError, build_database, gc_paused
 from husrm.srt import SequenceRecordTable
 
@@ -35,7 +35,7 @@ def collector(request):
 
 
 def sample_config(db):
-    return variant_config("rsc", thr("0.1").times(db.total_utility), thr("0.6"))
+    return MiningConfig(thr("0.1").times(db.total_utility), thr("0.6"))
 
 
 class RecordingLines(io.StringIO):
@@ -162,7 +162,7 @@ def test_load_and_mine_leave_no_cyclic_garbage(tmp_path, case, variant, dedup):
         db = load_database(path)
         assert gc.collect() == 0
         minutil = thr(delta).times(db.total_utility)
-        rules, stats = mine(db, variant_config(variant, minutil, thr(minconf), dedup=dedup))
+        rules, stats = mine(db, MiningConfig(minutil, thr(minconf), variant=variant, dedup=dedup))
         assert rules
         assert gc.collect() == 0
         del db, rules, stats

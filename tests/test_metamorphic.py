@@ -15,6 +15,11 @@ The database is generated (300 sequences over 100 items, so the early
 item prune has items to drop). minutil sits just above the best single
 sequence's utility, so no rule rests on one sequence, and it is not an
 integer, so the scaling relation also scales a denominator.
+
+The scaling and the relabeling relations also run on the search-sparse
+shape (450 sequences over 7312 items, avg 27, max 213), at the same
+minutil rule, in rsc only: rscp grows every child there and does not
+finish in tier-1 time.
 """
 
 import random
@@ -23,15 +28,25 @@ from dataclasses import asdict
 import pytest
 
 from husrm.datagen import GenParams, generate
-from husrm.miner import VARIANTS, mine, variant_config
+from husrm.miner import VARIANTS, MiningConfig, mine
 from husrm.model import Threshold, build_database
 
 MINCONF = Threshold(1, 10)
 
+SHAPES = {
+    "dense": GenParams(300, 100, 6.0, 20, seed=11),
+    "search-sparse": GenParams(450, 7312, 27.0, 213, 1, 10, 1.0, seed=1),
+}
+# Every variant on the dense shape (ids are the variant names), rsc on
+# the search-sparse one.
+SHAPED_VARIANTS = [pytest.param("dense", name, id=name) for name in sorted(VARIANTS)] + [
+    pytest.param("search-sparse", "rsc", id="search-sparse-rsc")
+]
+
 
 @pytest.fixture(scope="module")
-def base():
-    db = generate(GenParams(300, 100, 6.0, 20, seed=11))
+def base(request):
+    db = generate(SHAPES[getattr(request, "param", "dense")])
     best = max(sum(ev.utility for ev in seq.events) for seq in db.sequences)
     return db, Threshold(100 * best + 37, 100)
 
@@ -55,14 +70,14 @@ def counters(stats) -> dict:
     return fields
 
 
-@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("base, variant", SHAPED_VARIANTS, indirect=["base"])
 def test_scaling_utilities_and_minutil_scales_rule_utilities(base, variant):
     db, minutil = base
     c = 3
     scaled_db = build_database([[(t, c * u) for t, u in row] for row in rows_of(db)])
     scaled_minutil = Threshold(c * minutil.numerator, minutil.denominator)
-    rules, stats = mine(db, variant_config(variant, minutil, MINCONF))
-    scaled_rules, scaled_stats = mine(scaled_db, variant_config(variant, scaled_minutil, MINCONF))
+    rules, stats = mine(db, MiningConfig(minutil, MINCONF, variant=variant))
+    scaled_rules, scaled_stats = mine(scaled_db, MiningConfig(scaled_minutil, MINCONF, variant=variant))
     assert rules
     assert [r.key() for r in scaled_rules] == [
         (r.antecedent, r.consequent, c * r.utility, r.support, r.antecedent_support) for r in rules
@@ -70,7 +85,7 @@ def test_scaling_utilities_and_minutil_scales_rule_utilities(base, variant):
     assert counters(scaled_stats) == {**counters(stats), "minutil": asdict(scaled_minutil)}
 
 
-@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("base, variant", SHAPED_VARIANTS, indirect=["base"])
 def test_relabeling_and_shuffling_keeps_rules_and_counters(base, variant):
     db, minutil = base
     rng = random.Random(5)
@@ -81,8 +96,8 @@ def test_relabeling_and_shuffling_keeps_rules_and_counters(base, variant):
     rows = [[(new_name[t], u) for t, u in row] for row in rows_of(db)]
     rng.shuffle(rows)
     moved_db = build_database(rows)
-    rules, stats = mine(db, variant_config(variant, minutil, MINCONF))
-    moved_rules, moved_stats = mine(moved_db, variant_config(variant, minutil, MINCONF))
+    rules, stats = mine(db, MiningConfig(minutil, MINCONF, variant=variant))
+    moved_rules, moved_stats = mine(moved_db, MiningConfig(minutil, MINCONF, variant=variant))
     old_name = {new: old for old, new in new_name.items()}
     read_back = [
         (tuple(old_name[t] for t in x), tuple(old_name[t] for t in y), *facts)
@@ -100,15 +115,15 @@ def test_appending_a_low_utility_sequence_of_fresh_items_changes_no_rule(base, v
     fresh = [(f"fresh{k}", 1) for k in range(8)]
     assert sum(u for _, u in fresh) * minutil.denominator < minutil.numerator
     grown_db = build_database(rows_of(db) + [fresh])
-    rules, _ = mine(db, variant_config(variant, minutil, MINCONF))
-    grown_rules, _ = mine(grown_db, variant_config(variant, minutil, MINCONF))
+    rules, _ = mine(db, MiningConfig(minutil, MINCONF, variant=variant))
+    grown_rules, _ = mine(grown_db, MiningConfig(minutil, MINCONF, variant=variant))
     assert rules
     assert [r.key() for r in grown_rules] == [r.key() for r in rules]
 
 
 def test_every_variant_mines_the_same_rules(base):
     db, minutil = base
-    results = {name: mine(db, variant_config(name, minutil, MINCONF)) for name in sorted(VARIANTS)}
+    results = {name: mine(db, MiningConfig(minutil, MINCONF, variant=name)) for name in sorted(VARIANTS)}
     keys = {name: [r.key() for r in rules] for name, (rules, _) in results.items()}
     assert keys["rsc"]
     for name, got in keys.items():

@@ -7,7 +7,6 @@ from husrm.miner import (
     find_cut_start,
     mine,
     rule_produce,
-    variant_config,
 )
 from husrm.model import Threshold, build_database, confidence_at_least
 from husrm.oracle import OracleConfig, oracle_mine
@@ -145,7 +144,7 @@ def test_rule_produce_small_scope_examples(small_db):
 
 def test_disabling_gate_keeps_rules_and_grows_candidates(sample_db):
     rules, stats = mine_sample(sample_db)
-    rules_ungated, stats_ungated = mine_sample(sample_db, use_rrs_prune=False)
+    rules_ungated, stats_ungated = mine_sample(sample_db, variant="rscp")
     assert canon(rules) == canon(rules_ungated)
     assert stats.candidates <= stats_ungated.candidates
     assert stats_ungated.rrs_prunes == stats_ungated.view_prunes == 0
@@ -159,12 +158,12 @@ def test_seu_form_flag_changes_nothing_on_rules(sample_db):
 
 def test_variant_configs():
     minutil, minconf = Threshold(1, 1), Threshold(6, 10)
-    assert variant_config("rscn", minutil, minconf).use_seu_prune is False
-    assert variant_config("rscp", minutil, minconf).use_rrs_prune is False
-    assert variant_config("rscr", minutil, minconf).use_rru is False
-    assert variant_config("rsc", minutil, minconf).use_rru is True
+    assert MiningConfig(minutil, minconf, variant="rscn").use_seu_prune is False
+    assert MiningConfig(minutil, minconf, variant="rscp").use_rrs_prune is False
+    assert MiningConfig(minutil, minconf, variant="rscr").use_rru is False
+    assert MiningConfig(minutil, minconf, variant="rsc").use_rru is True
     with pytest.raises(ValueError, match="unknown variant 'bogus'; choose from"):
-        variant_config("bogus", minutil, minconf)
+        MiningConfig(minutil, minconf, variant="bogus")
 
 
 def test_dedup_flag_mines_the_deduped_database(sample_db):
@@ -173,7 +172,7 @@ def test_dedup_flag_mines_the_deduped_database(sample_db):
     minutil = thr("0.1").times(sample_db.total_utility)
     rules, _ = mine(sample_db, MiningConfig(minutil, thr("0.6"), dedup=True))
     deduped = dedup_max_utility(sample_db)
-    expected = oracle_mine(deduped, OracleConfig(minutil, thr("0.6"), 8))
+    expected, _ = oracle_mine(deduped, OracleConfig(minutil, thr("0.6"), 8))
     assert canon(rules) == canon(expected)
 
 
@@ -206,7 +205,7 @@ def test_matches_reference_on_random_databases(seed):
     minutil = thr("0.05").times(db.total_utility)
     minconf = thr("0.6")
     rules, _ = mine(db, MiningConfig(minutil, minconf))
-    expected = oracle_mine(db, OracleConfig(minutil, minconf, 8))
+    expected, _ = oracle_mine(db, OracleConfig(minutil, minconf, 8))
     assert canon(rules) == canon(expected)
 
 

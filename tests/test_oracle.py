@@ -1,11 +1,9 @@
 import itertools
-import warnings
 
 import pytest
 
 from husrm.model import Threshold, build_database
 from husrm.oracle import (
-    MaxLenCapWarning,
     OracleConfig,
     max_embedding_utility,
     oracle_mine,
@@ -84,7 +82,7 @@ def test_support_examples(sample_db):
 
 def test_oracle_sample_rules(sample_db):
     minutil = thr("0.1").times(sample_db.total_utility)
-    rules = oracle_mine(sample_db, OracleConfig(minutil, thr("0.6"), 8))
+    rules, _ = oracle_mine(sample_db, OracleConfig(minutil, thr("0.6"), 8))
     items = sample_db.items
     a, c, b, e = (items.id_of(t) for t in "acbe")
     assert canon(rules) == {
@@ -97,7 +95,7 @@ def test_oracle_sample_rules(sample_db):
 
 def test_oracle_confidence_just_above_three_quarters(sample_db):
     minutil = thr("0.1").times(sample_db.total_utility)
-    rules = oracle_mine(sample_db, OracleConfig(minutil, thr("0.76"), 8))
+    rules, _ = oracle_mine(sample_db, OracleConfig(minutil, thr("0.76"), 8))
     items = sample_db.items
     b, c, e = (items.id_of(t) for t in "bce")
     assert canon(rules) == {
@@ -108,7 +106,7 @@ def test_oracle_confidence_just_above_three_quarters(sample_db):
 
 def test_oracle_empty_database():
     db = build_database([])
-    assert oracle_mine(db, OracleConfig(Threshold(0, 1), thr("0.5"), 8)) == []
+    assert oracle_mine(db, OracleConfig(Threshold(0, 1), thr("0.5"), 8)) == ([], False)
 
 
 def test_oracle_invariant_under_sequence_reordering():
@@ -133,15 +131,15 @@ def test_oracle_invariant_under_sequence_reordering():
     ]
     cfg_args = (Threshold(1, 1), thr("0.4"), 8)
     base_db = build_database(rows)
-    base = token_canon(base_db, oracle_mine(base_db, OracleConfig(*cfg_args)))
+    base = token_canon(base_db, oracle_mine(base_db, OracleConfig(*cfg_args))[0])
     for perm in itertools.permutations(rows):
         db = build_database(list(perm))
-        assert token_canon(db, oracle_mine(db, OracleConfig(*cfg_args))) == base
+        assert token_canon(db, oracle_mine(db, OracleConfig(*cfg_args))[0]) == base
 
 
 def test_oracle_supports_match_containment_scans(sample_db):
     minutil = Threshold(0, 1)
-    rules = oracle_mine(sample_db, OracleConfig(minutil, thr("0.4"), 8))
+    rules, _ = oracle_mine(sample_db, OracleConfig(minutil, thr("0.4"), 8))
     for rule in rules:
         pattern = rule.antecedent + rule.consequent
         assert rule.support == support_of(sample_db, pattern)
@@ -156,18 +154,15 @@ def test_oracle_supports_match_containment_scans(sample_db):
 
 def test_cap_warning_fires_when_truncated():
     db = build_database([[(t, 1) for t in "abc"]])
-    with pytest.warns(MaxLenCapWarning):
-        rules = oracle_mine(db, OracleConfig(Threshold(0, 1), thr("0.5"), 2))
+    rules, truncated = oracle_mine(db, OracleConfig(Threshold(0, 1), thr("0.5"), 2))
+    assert truncated
     # length-2 rules still come out
     assert all(len(r.antecedent) + len(r.consequent) <= 2 for r in rules)
 
 
 def test_no_cap_warning_when_enumeration_completes(sample_db):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        oracle_mine(
-            sample_db, OracleConfig(Threshold(0, 1), thr("0.4"), 8)
-        )
+    _, truncated = oracle_mine(sample_db, OracleConfig(Threshold(0, 1), thr("0.4"), 8))
+    assert not truncated
 
 
 @pytest.mark.parametrize("minconf", [Threshold(0, 1), Threshold(3, 2)])
@@ -183,6 +178,6 @@ def test_config_requires_room_for_rules():
 
 
 def test_oracle_output_is_canonically_sorted(sample_db):
-    rules = oracle_mine(sample_db, OracleConfig(Threshold(0, 1), thr("0.4"), 8))
+    rules, _ = oracle_mine(sample_db, OracleConfig(Threshold(0, 1), thr("0.4"), 8))
     keys = [(r.antecedent, r.consequent) for r in rules]
     assert keys == sorted(keys)

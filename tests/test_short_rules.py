@@ -28,7 +28,7 @@ from fractions import Fraction
 import pytest
 
 from husrm.datagen import GenParams, generate
-from husrm.miner import VARIANTS, mine, variant_config
+from husrm.miner import VARIANTS, MiningConfig, mine
 from husrm.model import Threshold
 
 
@@ -103,8 +103,8 @@ def check_rules_of_length(db, facts, length, variant, rank, conf_pick):
         for rule in rules_of_length(facts, length)
         if rule[2] >= minutil and rule[3] * minconf.denominator >= rule[4] * minconf.numerator
     }
-    cfg = variant_config(
-        variant, Threshold(minutil, 1), Threshold(minconf.numerator, minconf.denominator)
+    cfg = MiningConfig(
+        Threshold(minutil, 1), Threshold(minconf.numerator, minconf.denominator), variant=variant
     )
     rules, _stats = mine(db, cfg)
     got = [r.key() for r in rules if len(r.antecedent) + len(r.consequent) == length]
