@@ -42,16 +42,12 @@ from .model import (
 )
 from .oracle import (
     OracleConfig,
-    PositionRef,
     max_embedding_utility,
     oracle_mine,
-    rru_at,
-    rru_sum_per_item,
-    ru_at,
     support_of,
 )
 from .srt import SeqOccurrences, SequenceRecordTable, SrtRow, init_row, scan_extensions
-from .ult import UtilityLinkedTable, UtilityTable, build_ult
+from .ult import UtilityTable, build_ult
 
 __version__ = "0.1.0"
 
@@ -64,7 +60,6 @@ __all__ = [
     "MiningStats",
     "OracleConfig",
     "ParseError",
-    "PositionRef",
     "Rule",
     "SeqOccurrences",
     "Sequence",
@@ -72,7 +67,6 @@ __all__ = [
     "SequenceRecordTable",
     "SrtRow",
     "Threshold",
-    "UtilityLinkedTable",
     "UtilityTable",
     "VARIANTS",
     "build_database",
@@ -91,9 +85,6 @@ __all__ = [
     "parse_native",
     "parse_spmf",
     "prune_unpromising",
-    "rru_at",
-    "rru_sum_per_item",
-    "ru_at",
     "rule_produce",
     "scan_extensions",
     "seu_per_item",

@@ -7,8 +7,9 @@ minutil. Per-position ru is the raw suffix utility sum. Per-position rru
 tightens ru by counting each distinct later item once, at its maximum
 utility within the suffix, and by ignoring later duplicates of the
 position's own item; on duplicate-free sequences the two coincide.
-Both per-position bounds are computed here in one pass per sequence;
-their definitional forms live in the oracle module.
+Every bound here reads a sequence's item and utility columns directly;
+both per-position bounds take one pass per sequence, and the tests check
+them against their definitional forms.
 
 The successor table (EUCP, from FHM and HUSRM) blocks extensions by
 item pairs: eu(x, y) sums the per-sequence distinct-max utility over the
@@ -18,7 +19,9 @@ eu(p, y) < minutil for some path item p heads no subtree that emits a
 rule.
 """
 
-from .model import Event, Sequence, SequenceDatabase, Threshold, compare_at_least
+from itertools import accumulate, compress
+
+from .model import Sequence, SequenceDatabase, Threshold, compare_at_least
 
 
 def seu_per_item(db: SequenceDatabase, *, distinct_max: bool = True) -> dict[int, int]:
@@ -34,14 +37,14 @@ def seu_per_item(db: SequenceDatabase, *, distinct_max: bool = True) -> dict[int
     for seq in db.sequences:
         if distinct_max:
             maxima: dict[int, int] = {}
-            for ev in seq.events:
-                if ev.utility > maxima.get(ev.item, -1):
-                    maxima[ev.item] = ev.utility
+            for item, utility in zip(seq.items, seq.utils):
+                if utility > maxima.get(item, -1):
+                    maxima[item] = utility
             term = sum(maxima.values())
             present = maxima.keys()
         else:
-            term = sum(ev.utility for ev in seq.events)
-            present = {ev.item for ev in seq.events}
+            term = sum(seq.utils)
+            present = set(seq.items)
         for item in present:
             totals[item] = totals.get(item, 0) + term
     return totals
@@ -52,47 +55,49 @@ def prune_unpromising(
 ) -> SequenceDatabase:
     """Single-pass removal of every item whose seu falls below minutil.
 
-    Sequences left empty are dropped; survivors keep their sids. minutil
-    is not recomputed afterwards and no fixpoint iteration happens: the
+    Sequences left empty are dropped; survivors keep their sids, and a
+    sequence that loses no item is kept as the same object. minutil is
+    not recomputed afterwards and no fixpoint iteration happens: the
     mining pipeline calls for exactly one pass.
     """
     seu = seu_per_item(db, distinct_max=distinct_max)
     keep = {item for item, value in seu.items() if compare_at_least(value, minutil)}
     out: list[Sequence] = []
     for seq in db.sequences:
-        events = tuple(ev for ev in seq.events if ev.item in keep)
-        if events:
-            out.append(Sequence(seq.sid, events))
+        mask = list(map(keep.__contains__, seq.items))
+        if all(mask):
+            out.append(seq)
+        elif any(mask):
+            items, utils = tuple(compress(seq.items, mask)), tuple(compress(seq.utils, mask))
+            out.append(Sequence(seq.sid, items, utils))
     return SequenceDatabase(out, db.items)
 
 
-def ru_values(events: tuple[Event, ...]) -> list[int]:
-    """Suffix utility sums at every position of one sequence."""
-    out = [0] * len(events)
-    acc = 0
-    for k in range(len(events) - 1, -1, -1):
-        acc += events[k].utility
-        out[k] = acc
+def ru_values(utils: tuple[int, ...]) -> list[int]:
+    """Suffix utility sums at every position of one sequence's utility column."""
+    out = list(accumulate(reversed(utils)))
+    out.reverse()
     return out
 
 
-def rru_values(events: tuple[Event, ...]) -> list[int]:
+def rru_values(items: tuple[int, ...], utils: tuple[int, ...]) -> list[int]:
     """Reduced remaining utility at every position, in one backward pass.
 
     Maintains the running sum of per-item suffix maxima; the position's
     own item's contribution is subtracted back out.
     """
-    n = len(events)
+    n = len(items)
     out = [0] * n
     suffix_max: dict[int, int] = {}
     running = 0
     for k in range(n - 1, -1, -1):
-        ev = events[k]
-        out[k] = ev.utility + running - suffix_max.get(ev.item, 0)
-        prev = suffix_max.get(ev.item, 0)
-        if ev.utility > prev:
-            suffix_max[ev.item] = ev.utility
-            running += ev.utility - prev
+        item = items[k]
+        utility = utils[k]
+        prev = suffix_max.get(item, 0)
+        out[k] = utility + running - prev
+        if utility > prev:
+            suffix_max[item] = utility
+            running += utility - prev
     return out
 
 

@@ -24,7 +24,6 @@ from typing import IO, Iterable, TextIO
 
 from .model import (
     U64_MAX,
-    Event,
     ItemTable,
     Rule,
     Sequence,
@@ -64,13 +63,15 @@ def parse_native(stream: str | IO[str]) -> SequenceDatabase:
     the order of the remaining lines.
     """
     table = ItemTable()
+    intern = table.intern
     seqs: list[Sequence] = []
     for lineno, raw in enumerate(_lines(stream), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        toks = raw.split()
+        if not toks or toks[0].startswith("#"):
             continue
-        events: list[Event] = []
-        for tok in line.split():
+        ids: list[int] = []
+        utils: list[int] = []
+        for tok in toks:
             label, sep, utext = tok.rpartition(":")
             if not sep:
                 raise ParseError(lineno, f"malformed token {tok!r}: expected item:utility")
@@ -86,8 +87,9 @@ def parse_native(stream: str | IO[str]) -> SequenceDatabase:
                 utility = _long_digits_value(utext)
             if utility > U64_MAX:
                 raise ParseError(lineno, f"utility out of 64-bit range in token {tok!r}")
-            events.append(Event(table.intern(label), utility))
-        seqs.append(Sequence(len(seqs) + 1, tuple(events)))
+            ids.append(intern(label))
+            utils.append(utility)
+        seqs.append(Sequence(len(seqs) + 1, tuple(ids), tuple(utils)))
     return SequenceDatabase(seqs, table)
 
 
@@ -109,8 +111,9 @@ def parse_spmf(stream: str | IO[str]) -> SequenceDatabase:
         line = raw.strip()
         if not line or line[0] in "#%@":
             continue
-        events: list[Event] = []
-        itemset: list[Event] = []
+        ids: list[int] = []
+        utils: list[int] = []
+        itemset: list[tuple[int, int]] = []
         terminated = False
         for tok in line.split():
             if terminated:
@@ -120,8 +123,10 @@ def parse_spmf(stream: str | IO[str]) -> SequenceDatabase:
             if tok == "-1":
                 if len(itemset) > 1:
                     raise ParseError(lineno, "simultaneous events unsupported")
-                events.extend(itemset)
-                itemset = []
+                if itemset:
+                    item, utility = itemset.pop()
+                    ids.append(item)
+                    utils.append(utility)
             elif tok == "-2":
                 if itemset:
                     raise ParseError(lineno, "itemset not closed by -1 before -2")
@@ -140,11 +145,11 @@ def parse_spmf(stream: str | IO[str]) -> SequenceDatabase:
                     raise ParseError(
                         lineno, f"utility out of 64-bit range in token {tok!r}"
                     )
-                itemset.append(Event(table.intern(m.group(1)), utility))
+                itemset.append((table.intern(m.group(1)), utility))
         if not terminated:
             raise ParseError(lineno, "missing -2 terminator")
-        if events:
-            seqs.append(Sequence(len(seqs) + 1, tuple(events)))
+        if ids:
+            seqs.append(Sequence(len(seqs) + 1, tuple(ids), tuple(utils)))
     return SequenceDatabase(seqs, table)
 
 
@@ -196,17 +201,16 @@ def write_native(db: SequenceDatabase, stream: TextIO) -> None:
     as a comment and the sequence would be lost. A ``#`` label anywhere
     else in a sequence round-trips.
     """
-    items = db.items
+    token_of = db.items.token_of
     for seq in db.sequences:
-        first = items.token_of(seq.events[0].item)
+        first = token_of(seq.items[0])
         if first.startswith("#"):
             raise ValueError(
                 f"sequence {seq.sid} starts with label {first!r}, which the native "
                 "format would read back as a comment"
             )
-        stream.write(
-            " ".join(f"{items.token_of(ev.item)}:{ev.utility}" for ev in seq.events)
-        )
+        pairs = zip(seq.items, seq.utils)
+        stream.write(" ".join(f"{token_of(item)}:{utility}" for item, utility in pairs))
         stream.write("\n")
 
 
@@ -219,14 +223,18 @@ def dedup_max_utility(db: SequenceDatabase) -> SequenceDatabase:
     """
     out: list[Sequence] = []
     for seq in db.sequences:
+        items, utils = seq.items, seq.utils
         best: dict[int, int] = {}
-        for k, ev in enumerate(seq.events):
-            cur = best.get(ev.item)
-            if cur is None or ev.utility > seq.events[cur].utility:
-                best[ev.item] = k
-        keep = set(best.values())
+        for k, item in enumerate(items):
+            cur = best.get(item)
+            if cur is None or utils[k] > utils[cur]:
+                best[item] = k
+        if len(best) == len(items):
+            out.append(seq)
+            continue
+        keep = sorted(best.values())
         out.append(
-            Sequence(seq.sid, tuple(ev for k, ev in enumerate(seq.events) if k in keep))
+            Sequence(seq.sid, tuple(items[k] for k in keep), tuple(utils[k] for k in keep))
         )
     return SequenceDatabase(out, db.items)
 

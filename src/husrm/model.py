@@ -1,11 +1,12 @@
 """Core domain types shared by every stage of the mining pipeline.
 
 A sequence database is an ordered list of sequences; each sequence is an
-ordered, non-empty list of (item, utility) events. Items are interned to
-dense integer ids in first-appearance order, so repeated loads of the
-same input always assign the same ids. Thresholds are exact non-negative
-rationals and every threshold decision is made by integer
-cross-multiplication; floats never enter a mining decision.
+ordered, non-empty run of (item, utility) events, stored once as two
+parallel tuples, items and utils, which every stage reads directly.
+Items are interned to dense integer ids in first-appearance order, so
+repeated loads of the same input always assign the same ids. Thresholds
+are exact non-negative rationals and every threshold decision is made by
+integer cross-multiplication; floats never enter a mining decision.
 """
 
 import gc
@@ -13,7 +14,8 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple
 
 U64_MAX = 2**64 - 1
 
@@ -30,7 +32,7 @@ class InvariantError(RuntimeError):
 def gc_paused() -> Iterator[None]:
     """Pause cyclic garbage collection for a block or a decorated call.
 
-    Parsing and mining build millions of containers (events, sequences,
+    Parsing and mining build millions of containers (sequence columns,
     position lists, occurrence rows) and none of them form a reference
     cycle, so reference counting alone frees all of them; every full
     collection would only re-traverse them. The collector is re-enabled
@@ -92,23 +94,59 @@ class ItemTable:
         return f"ItemTable({len(self._tokens)} items)"
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class Event(NamedTuple):
     """One item occurrence with its non-negative utility."""
 
     item: int
     utility: int
 
 
-@dataclass(frozen=True, slots=True)
-class Sequence:
-    """One database row: an ordered, non-empty run of events. sid is 1-based."""
+class EventView:
+    """Read-only view of one sequence's columns as Event pairs.
 
-    sid: int
-    events: tuple[Event, ...]
+    Built on demand by Sequence.events: its length costs nothing, and
+    each Event is made only when iterated or indexed.
+    """
+
+    __slots__ = ("_items", "_utils")
+
+    def __init__(self, items: tuple[int, ...], utils: tuple[int, ...]) -> None:
+        self._items = items
+        self._utils = utils
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._items)
+
+    def __iter__(self) -> Iterator[Event]:
+        return map(Event, self._items, self._utils)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(Event, self._items[index], self._utils[index]))
+        return Event(self._items[index], self._utils[index])
+
+
+@dataclass(slots=True)
+class Sequence:
+    """One database row: an ordered, non-empty run of events. sid is 1-based.
+
+    The events are two parallel columns of equal length: items[k] and
+    utils[k] are the item id and the utility of the k-th event. Treat a
+    sequence as immutable: transformation passes hand an unchanged
+    sequence on as the same object, and the utility table stores its
+    columns without copying them.
+    """
+
+    sid: int
+    items: tuple[int, ...]
+    utils: tuple[int, ...]
+
+    @property
+    def events(self) -> EventView:
+        return EventView(self.items, self.utils)
+
+    def __len__(self) -> int:
+        return len(self.items)
 
 
 class SequenceDatabase:
@@ -116,34 +154,35 @@ class SequenceDatabase:
 
     total_utility is the sum of every event utility. sids are contiguous
     1..n at load time; transformation passes (duplicate removal, item
-    pruning) keep the surviving sequences' original sids.
+    pruning) keep the surviving sequences' original sids. A sequence
+    whose columns are empty or of different lengths, or a repeated sid,
+    is rejected.
     """
 
-    __slots__ = ("sequences", "total_utility", "items", "_by_sid")
+    __slots__ = ("sequences", "total_utility", "items")
 
     def __init__(self, sequences: Iterable[Sequence], items: ItemTable) -> None:
         self.sequences: tuple[Sequence, ...] = tuple(sequences)
         self.items = items
-        self.total_utility = sum(
-            ev.utility for seq in self.sequences for ev in seq.events
-        )
-        self._by_sid = {seq.sid: i for i, seq in enumerate(self.sequences)}
-        if len(self._by_sid) != len(self.sequences):
+        total = 0
+        sids: set[int] = set()
+        for seq in self.sequences:
+            n = len(seq.items)
+            if not n:
+                raise ValueError(f"sequence {seq.sid} is empty")
+            if n != len(seq.utils):
+                raise ValueError(
+                    f"sequence {seq.sid} has {n} items but {len(seq.utils)} utilities"
+                )
+            total += sum(seq.utils)
+            sids.add(seq.sid)
+        if len(sids) != len(self.sequences):
             raise ValueError("duplicate sids")
-
-    def sequence_by_sid(self, sid: int) -> Sequence:
-        return self.sequences[self._by_sid[sid]]
+        self.total_utility = total
 
     def distinct_items(self) -> list[int]:
         """Item ids actually present, in first-appearance order."""
-        seen: set[int] = set()
-        out: list[int] = []
-        for seq in self.sequences:
-            for ev in seq.events:
-                if ev.item not in seen:
-                    seen.add(ev.item)
-                    out.append(ev.item)
-        return out
+        return list(dict.fromkeys(chain.from_iterable(seq.items for seq in self.sequences)))
 
     def __len__(self) -> int:
         return len(self.sequences)
@@ -172,18 +211,21 @@ def build_database(
     can round-trip them.
     """
     table = items if items is not None else ItemTable()
+    intern = table.intern
     seqs: list[Sequence] = []
     for row in rows:
-        events: list[Event] = []
+        ids: list[int] = []
+        utils: list[int] = []
         for token, utility in row:
             if not token or token.split() != [token]:
                 raise ValueError(f"bad item label: {token!r}")
             utility = int(utility)
             if utility < 0 or utility > U64_MAX:
                 raise ValueError(f"utility out of range: {utility}")
-            events.append(Event(table.intern(token), utility))
-        if events:
-            seqs.append(Sequence(len(seqs) + 1, tuple(events)))
+            ids.append(intern(token))
+            utils.append(utility)
+        if ids:
+            seqs.append(Sequence(len(seqs) + 1, tuple(ids), tuple(utils)))
     return SequenceDatabase(seqs, table)
 
 

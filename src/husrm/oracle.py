@@ -7,14 +7,9 @@ form rules, so they are skipped), pattern utilities come from an exact
 dynamic program over embeddings, and every qualifying cut of every
 pattern becomes a rule. This module exists to be obviously correct, not
 fast.
-
-The per-position bounds ru and rru and the per-item rru sum are also
-defined here, straight from their definitions, as the reference the
-miner's one-pass bound computations are checked against.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .model import (
     InvariantError,
@@ -53,9 +48,7 @@ def max_embedding_utility(seq: Sequence, pattern: tuple[int, ...]) -> int | None
         raise ValueError("empty pattern")
     dp = [-1] * (m + 1)
     dp[0] = 0
-    for ev in seq.events:
-        item = ev.item
-        utility = ev.utility
+    for item, utility in zip(seq.items, seq.utils):
         for j in range(m, 0, -1):
             if pattern[j - 1] == item and dp[j - 1] >= 0:
                 cand = dp[j - 1] + utility
@@ -72,63 +65,14 @@ def support_of(db: SequenceDatabase, pattern: tuple[int, ...]) -> int:
     n = len(pattern)
     for seq in db.sequences:
         k = 0
-        for ev in seq.events:
-            if ev.item == pattern[k]:
+        for item in seq.items:
+            if item == pattern[k]:
                 k += 1
                 if k == n:
                     break
         if k == n:
             count += 1
     return count
-
-
-class PositionRef(NamedTuple):
-    """A 1-based position inside one sequence."""
-
-    sid: int
-    pos: int
-
-
-def ru_at(db: SequenceDatabase, ref: PositionRef) -> int:
-    """Raw remaining utility: suffix utility sum from the position inclusive."""
-    events = db.sequence_by_sid(ref.sid).events
-    return sum(ev.utility for ev in events[ref.pos - 1 :])
-
-
-def rru_at(db: SequenceDatabase, ref: PositionRef) -> int:
-    """Reduced remaining utility of one position, straight from its definition.
-
-    Own utility, plus one term per distinct later item at its maximum
-    utility among occurrences after the position. Later occurrences of
-    the position's own item contribute nothing.
-    """
-    events = db.sequence_by_sid(ref.sid).events
-    own = events[ref.pos - 1]
-    maxima: dict[int, int] = {}
-    for ev in events[ref.pos :]:
-        if ev.item == own.item:
-            continue
-        if ev.utility > maxima.get(ev.item, -1):
-            maxima[ev.item] = ev.utility
-    return own.utility + sum(maxima.values())
-
-
-def rru_sum_per_item(db: SequenceDatabase) -> dict[int, int]:
-    """Per item: sum over containing sequences of the sequence's maximum rru.
-
-    The per-sequence maximum over the item's occurrences mirrors the
-    max-occurrence utility semantics of patterns.
-    """
-    totals: dict[int, int] = {}
-    for seq in db.sequences:
-        best: dict[int, int] = {}
-        for pos, ev in enumerate(seq.events, 1):
-            value = rru_at(db, PositionRef(seq.sid, pos))
-            if value > best.get(ev.item, -1):
-                best[ev.item] = value
-        for item, value in best.items():
-            totals[item] = totals.get(item, 0) + value
-    return totals
 
 
 def oracle_mine(db: SequenceDatabase, cfg: OracleConfig) -> tuple[list[Rule], bool]:
@@ -168,10 +112,10 @@ def oracle_mine(db: SequenceDatabase, cfg: OracleConfig) -> tuple[list[Rule], bo
                         )
         extensions: dict[int, list[tuple[int, int]]] = {}
         for si, start in proj:
-            events = seqs[si].events
+            items = seqs[si].items
             seen: set[int] = set()
-            for k in range(start, len(events)):
-                item = events[k].item
+            for k in range(start, len(items)):
+                item = items[k]
                 if item in pattern_set or item in seen:
                     continue
                 seen.add(item)
@@ -192,10 +136,8 @@ def oracle_mine(db: SequenceDatabase, cfg: OracleConfig) -> tuple[list[Rule], bo
     for item in db.distinct_items():
         proj: list[tuple[int, int]] = []
         for si, seq in enumerate(seqs):
-            for k, ev in enumerate(seq.events):
-                if ev.item == item:
-                    proj.append((si, k + 1))
-                    break
+            if item in seq.items:
+                proj.append((si, seq.items.index(item) + 1))
         visit((item,), frozenset((item,)), proj, (len(proj),))
 
     rules.sort(key=lambda r: (r.antecedent, r.consequent))

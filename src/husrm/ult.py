@@ -1,10 +1,12 @@
 """The utility table: per-sequence columns plus one item-position index.
 
-Each event is stored once, in three per-sequence columns keyed by sid:
-seq_items, seq_utils and seq_rrus. seq_rrus holds the utility bound used
-by extension scoring at every position (rru, or plain ru when the table
-is built in ru mode). A forward projection scan is a walk over one
-sequence's column slices and never touches the raw database again.
+Three per-sequence columns are keyed by sid. seq_items and seq_utils
+are the database sequence's own item and utility tuples, shared rather
+than copied, so each event is stored once from parse to search.
+seq_rrus holds the utility bound used by extension scoring at every
+position (rru, or plain ru when the table is built in ru mode). A
+forward projection scan is a walk over one sequence's column slices and
+never touches the raw database again.
 
 item_positions[item] maps each sid containing the item to the item's
 0-based positions in that sequence, sids in database order. Its keys
@@ -49,10 +51,6 @@ class UtilityTable:
         return sum(map(len, self.seq_items.values()))
 
 
-# The table's former name, kept for one release.
-UtilityLinkedTable = UtilityTable
-
-
 def build_ult(
     db: SequenceDatabase, *, use_rru: bool = True, minutil: Threshold = Threshold(0, 1)
 ) -> UtilityTable:
@@ -69,8 +67,7 @@ def build_ult(
     item_positions: dict[int, dict[int, list[int]]] = {}
     for seq in db.sequences:
         sid = seq.sid
-        events = seq.events
-        items = tuple(ev.item for ev in events)
+        items = seq.items
         for k, item in enumerate(items):
             by_sid = item_positions.get(item)
             if by_sid is None:
@@ -81,8 +78,8 @@ def build_ult(
             else:
                 positions.append(k)
         seq_items[sid] = items
-        seq_utils[sid] = tuple(ev.utility for ev in events)
-        seq_rrus[sid] = tuple(rru_values(events) if use_rru else ru_values(events))
+        seq_utils[sid] = seq.utils
+        seq_rrus[sid] = tuple(rru_values(items, seq.utils) if use_rru else ru_values(seq.utils))
     return UtilityTable(
         n_item_ids=len(db.items),
         seq_items=seq_items,

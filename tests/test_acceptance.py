@@ -11,18 +11,12 @@ from husrm import cli
 from husrm.datagen import GenParams, generate
 from husrm.miner import MiningConfig, mine
 from husrm.model import build_database
-from husrm.oracle import (
-    OracleConfig,
-    PositionRef,
-    max_embedding_utility,
-    oracle_mine,
-    rru_at,
-    ru_at,
-)
+from husrm.oracle import OracleConfig, max_embedding_utility, oracle_mine
 from husrm.srt import SequenceRecordTable, init_row, scan_extensions
 from husrm.ult import build_ult
 
 from conftest import SAMPLE_NATIVE, SAMPLE_ROWS, canon, make_random_db, thr, view_bound
+from reference import PositionRef, rru_at, ru_at
 
 DELTAS = ("0.01", "0.05", "0.1", "0.3")
 MINCONFS = ("0.4", "0.6", "0.8", "1.0")

@@ -4,9 +4,9 @@ from hypothesis import strategies as st
 
 from husrm.bounds import prune_unpromising, rru_values, ru_values, seu_per_item
 from husrm.model import Threshold, build_database
-from husrm.oracle import PositionRef, rru_at, rru_sum_per_item, ru_at
 
 from conftest import make_random_db
+from reference import PositionRef, rru_at, rru_sum_per_item, ru_at, sequence_by_sid
 
 
 def naive_seu(db, distinct_max=True):
@@ -58,8 +58,15 @@ def test_prune_removes_below_threshold(sample_db):
     d = sample_db.items.id_of("d")
     assert all(ev.item != d for seq in pruned.sequences for ev in seq.events)
     assert [seq.sid for seq in pruned.sequences] == [1, 2, 3, 4, 5]
-    s5 = pruned.sequence_by_sid(5)
+    s5 = sequence_by_sid(pruned, 5)
     assert [sample_db.items.token_of(ev.item) for ev in s5.events] == ["a", "b"]
+
+
+def test_prune_keeps_an_untouched_sequence_as_the_same_object(sample_db):
+    # Only d (seu 6, in s5 alone) falls below 6.4.
+    pruned = prune_unpromising(sample_db, Threshold(64, 10))
+    same = [new is old for old, new in zip(sample_db.sequences, pruned.sequences)]
+    assert same == [True, True, True, True, False]
 
 
 def test_prune_zero_threshold_is_identity(sample_db):
@@ -71,7 +78,7 @@ def test_prune_drops_emptied_sequences_and_keeps_sids():
     db = build_database([[("x", 1)], [("y", 50)], [("y", 2)]])
     pruned = prune_unpromising(db, Threshold(20, 1))
     assert [seq.sid for seq in pruned.sequences] == [2, 3]
-    assert pruned.sequence_by_sid(3).events[0].utility == 2
+    assert sequence_by_sid(pruned, 3).events[0].utility == 2
 
 
 def test_prune_is_single_pass():
@@ -117,8 +124,8 @@ def naive_rru(events, k):
 def test_fast_value_passes_match_definitions(seed):
     db = make_random_db(seed)
     for seq in db.sequences:
-        rrus = rru_values(seq.events)
-        rus = ru_values(seq.events)
+        rrus = rru_values(seq.items, seq.utils)
+        rus = ru_values(seq.utils)
         for k in range(len(seq.events)):
             ref = PositionRef(seq.sid, k + 1)
             assert rrus[k] == rru_at(db, ref) == naive_rru(seq.events, k)

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -16,10 +17,12 @@ from husrm.dataio import (
     write_rules,
     write_stats,
 )
+from husrm.datagen import GenParams, generate
 from husrm.miner import MiningConfig, mine
 from husrm.model import ItemTable, Rule, Threshold, build_database
 
 from conftest import SAMPLE_NATIVE, SAMPLE_ROWS
+from reference import sequence_by_sid
 
 
 def rows_of(db):
@@ -206,7 +209,7 @@ def test_write_native_of_a_derived_database_keeps_rows_not_ids():
 
 def test_dedup_keeps_max_and_earliest_on_tie(sample_db):
     deduped = dedup_max_utility(sample_db)
-    s4 = deduped.sequence_by_sid(4)
+    s4 = sequence_by_sid(deduped, 4)
     toks = [(deduped.items.token_of(ev.item), ev.utility) for ev in s4.events]
     # a's max utility 3 sits after b and c, so retained order is b, c, a
     assert toks == [("b", 6), ("c", 3), ("a", 3)]
@@ -219,7 +222,9 @@ def test_dedup_keeps_max_and_earliest_on_tie(sample_db):
 def test_dedup_identity_on_duplicate_free(small_db):
     # rows s1 has duplicate c; use a duplicate-free database instead
     db = build_database([[("a", 1), ("b", 2)], [("c", 3)]])
-    assert dedup_max_utility(db) == db
+    deduped = dedup_max_utility(db)
+    assert deduped == db
+    assert all(new is old for old, new in zip(db.sequences, deduped.sequences))
 
 
 @given(
@@ -329,3 +334,20 @@ def test_format_rule_single(sample_db):
     items = sample_db.items
     rule = Rule((items.id_of("e"),), (items.id_of("b"),), 14, 1, 1)
     assert format_rule(rule, items) == "e ==> b #UTIL: 14 #SUP: 1 #CONF: 1.0000"
+
+
+def test_loaded_database_keeps_each_event_once(tmp_path):
+    # Two shared columns per sequence cost about 30 bytes per event on
+    # this shape; one Event object per event cost over 80.
+    path = tmp_path / "gen.usdb"
+    with open(path, "w", encoding="utf-8") as stream:
+        write_native(generate(GenParams(3000, 1000, 6.0, 40, seed=1)), stream)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        db = load_database(path)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    events = sum(map(len, db.sequences))
+    assert kept / events < 45

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from husrm.model import (
     ItemTable,
     Rule,
+    Sequence,
+    SequenceDatabase,
     Threshold,
     build_database,
     compare_at_least,
@@ -50,6 +52,20 @@ def test_build_database_rejects_bad_input():
         build_database([[("a b", 1)]])
     with pytest.raises(ValueError):
         build_database([[("", 1)]])
+
+
+@pytest.mark.parametrize(
+    "sequences, message",
+    [
+        ([Sequence(1, (0,), (3,)), Sequence(2, (), ())], "sequence 2 is empty"),
+        ([Sequence(1, (0, 1), (3,))], "sequence 1 has 2 items but 1 utilities"),
+        ([Sequence(1, (0,), (3, 4))], "sequence 1 has 1 items but 2 utilities"),
+        ([Sequence(1, (0,), (3,)), Sequence(1, (1,), (4,))], "duplicate sids"),
+    ],
+)
+def test_database_rejects_empty_ragged_or_repeated_sequences(sequences, message):
+    with pytest.raises(ValueError, match=message):
+        SequenceDatabase(sequences, ItemTable(["a", "b"]))
 
 
 def test_threshold_parsing():

@@ -11,6 +11,7 @@ from husrm.oracle import (
 )
 
 from conftest import canon, make_random_db, thr
+from reference import sequence_by_sid
 
 
 def enumerate_embedding_max(seq, pattern):
@@ -28,13 +29,13 @@ def enumerate_embedding_max(seq, pattern):
 def test_max_embedding_small_cases(sample_db):
     items = sample_db.items
     a, c = items.id_of("a"), items.id_of("c")
-    s1 = sample_db.sequence_by_sid(1)
+    s1 = sequence_by_sid(sample_db, 1)
     # two embeddings: utilities 3 and 4
     assert enumerate_embedding_max(s1, (a, c)) == 4
     assert max_embedding_utility(s1, (a, c)) == 4
-    s4 = sample_db.sequence_by_sid(4)
+    s4 = sequence_by_sid(sample_db, 4)
     assert max_embedding_utility(s4, (a, c)) == 5
-    s2 = sample_db.sequence_by_sid(2)
+    s2 = sequence_by_sid(sample_db, 2)
     assert max_embedding_utility(s2, (a,)) is None
 
 

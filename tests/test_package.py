@@ -10,5 +10,6 @@ def test_every_export_resolves_once():
     assert set(husrm.__all__) <= namespace.keys()
 
 
-def test_former_table_name_is_an_alias():
-    assert husrm.UtilityLinkedTable is husrm.UtilityTable
+def test_former_table_name_is_gone():
+    assert not hasattr(husrm, "UtilityLinkedTable")
+    assert "UtilityLinkedTable" not in husrm.__all__

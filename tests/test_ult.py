@@ -2,13 +2,13 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from husrm.bounds import seu_per_item
-from husrm.model import build_database
-from husrm.oracle import PositionRef, rru_at, rru_sum_per_item, ru_at
+from husrm.bounds import prune_unpromising, seu_per_item
+from husrm.model import Threshold, build_database
 from husrm.srt import init_row
 from husrm.ult import build_ult
 
 from conftest import make_random_db
+from reference import PositionRef, rru_at, rru_sum_per_item, ru_at
 
 
 def index_refs(ult, item):
@@ -47,6 +47,17 @@ def test_every_node_rru_matches_recomputation(seed):
         assert ult.seq_rrus[seq.sid] == tuple(
             rru_at(db, PositionRef(seq.sid, pos)) for pos in range(1, len(seq.events) + 1)
         )
+
+
+def test_table_shares_the_sequence_columns(sample_db):
+    # d is pruned from s5 only; s1..s4 pass through the prune unchanged.
+    pruned = prune_unpromising(sample_db, Threshold(64, 10))
+    ult = build_ult(pruned)
+    for seq in sample_db.sequences[:4]:
+        assert ult.seq_items[seq.sid] is seq.items
+        assert ult.seq_utils[seq.sid] is seq.utils
+    s5 = pruned.sequences[4]
+    assert ult.seq_items[5] is s5.items and ult.seq_utils[5] is s5.utils
 
 
 @pytest.mark.parametrize("seed", range(30))
