@@ -23,6 +23,7 @@ from .miner import (
     VARIANTS,
     MiningConfig,
     MiningStats,
+    WorkerError,
     find_cut_start,
     mine,
     rule_produce,
@@ -69,6 +70,7 @@ __all__ = [
     "Threshold",
     "UtilityTable",
     "VARIANTS",
+    "WorkerError",
     "build_database",
     "build_ult",
     "compare_at_least",

@@ -1,8 +1,9 @@
 """Command-line frontend: mining, reference verification, data
 generation, dataset stats, and ablation benchmarking.
 
-Exit codes: 0 success, 1 internal invariant or cross-check failure, or
-running out of memory or recursion depth, 2 usage or input parse error,
+Exit codes: 0 success, 1 internal invariant or cross-check failure,
+running out of memory or recursion depth, or a mining worker process
+that died, 2 usage or input parse error,
 3 reference enumeration hit its length cap (verification inconclusive).
 Every run echoes its fully resolved configuration on stderr, before
 checking it, so results are reproducible from logs alone, rejected runs
@@ -17,7 +18,7 @@ from contextlib import contextmanager
 
 from .dataio import format_rule, half_up, load_database, write_native, write_rules, write_stats
 from .datagen import GenParams, generate
-from .miner import VARIANTS, MiningConfig, mine
+from .miner import VARIANTS, MiningConfig, WorkerError, mine
 from .model import InvariantError, SequenceDatabase, Threshold
 from .oracle import OracleConfig, oracle_mine
 
@@ -300,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return EXIT_INVARIANT
-    except RecursionError as exc:
+    except (RecursionError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

@@ -11,9 +11,20 @@ antecedent support clears the confidence bar, and every cut from there
 to the end shares the path utility computed once. No per-rule utility
 recomputation ever happens.
 
-The walk is serial and iterative: one loop keeps a stack of child-row
-iterators beside the path table, so path depth is bounded by memory, not
-by the interpreter's recursion limit.
+Each top-level item is grown by one iterative loop that keeps a stack
+of child-row iterators beside the path table, so path depth is bounded
+by memory, not by the interpreter's recursion limit. Top-level items are
+independent once the table is built, so mine splits them into one bin
+per usable CPU before any search starts: items by descending count of
+sequences, ties in first-appearance order, each to the least-loaded bin.
+The calling process grows bin 0 and a forked child grows each other bin,
+reading the table the fork shared copy-on-write. A child writes its
+rules, item by item, as plain marshal fields to an unnamed file opened
+before the fork, and its counters last. The parent then builds every
+Rule once, in first-appearance item order, and sums the counters, so the
+rules and stats equal a one-bin run's. Mining stays in one bin (no fork)
+on one CPU, without os.fork or os.sched_getaffinity, while another
+thread runs, and for a table below PARALLEL_MIN_EVENTS events.
 
 A child passes two gates before it is pushed: the paper's rrs bound,
 checked on the aggregates of the first scan phase, then the view bound
@@ -27,9 +38,14 @@ through that the rrs gate then drops, and view_prunes the ones the view
 bound drops after that.
 """
 
+import marshal
+import os
+import tempfile
+import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence as Seq
+from itertools import starmap
+from typing import IO, Any, Callable, Iterator, NoReturn, Sequence as Seq
 
 from .bounds import prune_unpromising
 from .dataio import dedup_max_utility
@@ -51,9 +67,25 @@ from .srt import (
 )
 from .ult import UtilityTable, build_ult
 
-RuleSink = Callable[[Rule], None]
+# A rule as plain fields, in Rule's order: antecedent, consequent,
+# utility, support, antecedent_support. The search emits these; mine
+# builds each Rule from them once.
+RuleFields = tuple[tuple[int, ...], tuple[int, ...], int, int, int]
+RuleSink = Callable[[RuleFields], None]
 
 VARIANTS = ("rsc", "rscn", "rscp", "rscr")
+
+# Below this many events in the utility table, mining stays in one
+# process. Forking a second worker made a whole mine 6-16 ms slower
+# where the search was trivial (the copy-on-write faults of both
+# processes, the child's exit and the wait), on 2 CPUs. Generated cuts
+# at the benchmark workloads' minutil broke even between 1,898 events
+# (81 ms serial) and 3,881 (485 ms serial, 314 ms forked).
+PARALLEL_MIN_EVENTS = 2000
+
+
+class WorkerError(RuntimeError):
+    """A forked mining worker died without reporting an exception."""
 
 
 @dataclass(slots=True)
@@ -70,8 +102,9 @@ class MiningConfig:
     variant: str = "rsc"
     dedup: bool = False
     seu_distinct_max: bool = True
-    # Mining is serial; only 1 is accepted. Kept because the benchmark's
-    # job script still passes threads=1; its next change drops the field.
+    # Only 1 is accepted: mine sizes its worker pool from the usable CPUs.
+    # Kept because the benchmark's job script still passes threads=1; its
+    # next change drops the field.
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -79,7 +112,7 @@ class MiningConfig:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {sorted(VARIANTS)}")
         check_minconf(self.minconf)
         if self.threads != 1:
-            raise ValueError("threads must be 1: mining is serial")
+            raise ValueError("threads must be 1: mine sizes its worker pool from the usable CPUs")
 
     @property
     def use_seu_prune(self) -> bool:
@@ -128,7 +161,8 @@ def find_cut_start(supports: Seq[int], sup_n: int, minconf: Threshold) -> int:
 
 
 def rule_produce(srt: SequenceRecordTable, cfg: MiningConfig, sink: RuleSink) -> int:
-    """Emit every rule of the current path in one pass; returns the count.
+    """Emit the fields of every rule of the current path in one pass;
+    returns the count.
 
     Gate: the path utility must reach minutil and the last row's support
     must reach minconf against the second-to-last row, the easiest
@@ -149,7 +183,7 @@ def rule_produce(srt: SequenceRecordTable, cfg: MiningConfig, sink: RuleSink) ->
     items = [row.item for row in rows]
     for j in range(k, n):
         sink(
-            Rule(
+            (
                 tuple(items[:j]),
                 tuple(items[j:]),
                 last.until_utility,
@@ -190,28 +224,18 @@ def srt_growth(
     return _extensions(ult, srt, cfg, stats)
 
 
-@gc_paused()
-def mine(db: SequenceDatabase, cfg: MiningConfig) -> tuple[list[Rule], MiningStats]:
-    """Mine every totally ordered rule meeting both thresholds.
+def _mine_items(
+    ult: UtilityTable, items: list[int], cfg: MiningConfig, stats: MiningStats
+) -> Iterator[list[RuleFields]]:
+    """Grow each top-level item in turn and yield its rules' fields.
 
-    Output order is deterministic: depth-first over the utility table's
-    items in first-appearance order, children in scan order, cuts left
-    to right.
-    Cyclic garbage collection is paused for the call (see gc_paused).
+    Both sides of the pool run this loop. The counters accumulate on
+    stats; view_prunes is added once the last item is done.
     """
-    start = time.perf_counter()
-    stats = MiningStats(minutil=cfg.minutil)
-    stats.sequences = len(db.sequences)
-    stats.distinct_items = len(db.distinct_items())
-    work = dedup_max_utility(db) if cfg.dedup else db
-    if cfg.use_seu_prune:
-        work = prune_unpromising(work, cfg.minutil, distinct_max=cfg.seu_distinct_max)
-    ult = build_ult(work, use_rru=cfg.use_rru, minutil=cfg.minutil)
-    stats.items_after_pruning = len(ult.item_positions)
-    rules: list[Rule] = []
-    sink = rules.append
     srt = SequenceRecordTable()
-    for item in ult.item_positions:
+    for item in items:
+        chunk: list[RuleFields] = []
+        sink = chunk.append
         srt.push_row(init_row(ult, item))
         # pending[d] yields the not yet grown children of srt.rows[d].
         pending = [iter(_extensions(ult, srt, cfg, stats))]
@@ -222,7 +246,182 @@ def mine(db: SequenceDatabase, cfg: MiningConfig) -> tuple[list[Rule], MiningSta
                 srt.pop_row()
             else:
                 pending.append(iter(srt_growth(ult, srt, row, cfg, sink, stats)))
-    stats.view_prunes = srt.view_prunes
+        yield chunk
+    stats.view_prunes += srt.view_prunes
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where fork or the affinity call is missing."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _split(ult: UtilityTable) -> list[list[int]]:
+    """The top-level items in bins, one per worker; bin 0 is the caller's.
+
+    Items go longest-first, by the number of sequences holding them with
+    ties in first-appearance order, each to the least-loaded bin (the
+    lowest-numbered on a tie). The split depends on the table and the
+    CPU count alone, so every run on one machine mines the same items in
+    the same process. Each bin keeps first-appearance order.
+    """
+    items = list(ult.item_positions)
+    n = min(_usable_cpus(), len(items))
+    if n < 2 or threading.active_count() > 1 or len(ult) < PARALLEL_MIN_EVENTS:
+        return [items]
+    weight = {item: len(ult.item_positions[item]) for item in items}
+    bins: list[list[int]] = [[] for _ in range(n)]
+    loads = [0] * n
+    for item in sorted(items, key=weight.__getitem__, reverse=True):
+        b = loads.index(min(loads))
+        bins[b].append(item)
+        loads[b] += weight[item]
+    rank = {item: k for k, item in enumerate(items)}
+    for items_of_bin in bins:
+        items_of_bin.sort(key=rank.__getitem__)
+    return bins
+
+
+def _put(out: IO[bytes], obj: object) -> None:
+    blob = marshal.dumps(obj)
+    out.write(len(blob).to_bytes(8, "little"))
+    out.write(blob)
+
+
+def _get(src: IO[bytes]) -> Any:
+    size = int.from_bytes(src.read(8), "little")
+    return marshal.loads(src.read(size))
+
+
+def _run_worker(
+    out: IO[bytes], ult: UtilityTable, items: list[int], cfg: MiningConfig, parent: int
+) -> NoReturn:
+    """Body of a forked worker: mine items into out, then leave the process.
+
+    On success out holds one record per item and the counters, and the
+    exit status is 0. On any exception, interrupts included, out holds
+    only the pickled exception and its text, and the status is 1. A
+    worker whose parent died (killed without a chance to reap it) stops
+    at its next item. The worker never returns into the caller's code,
+    and os._exit skips the interpreter's teardown and the stdio buffers
+    inherited from the parent, which the parent flushes itself.
+    """
+    import pickle  # here, not at module level: only a failure needs it
+
+    code = 1
+    try:
+        try:
+            stats = MiningStats()
+            for chunk in _mine_items(ult, items, cfg, stats):
+                if os.getppid() != parent:
+                    os._exit(1)
+                _put(out, chunk)
+            _put(out, (stats.candidates, stats.rrs_prunes, stats.view_prunes))
+            code = 0
+        except BaseException as exc:  # reported to the parent, which re-raises it
+            out.seek(0)
+            out.truncate()
+            _put(out, (pickle.dumps(exc), f"{type(exc).__name__}: {exc}"))
+        out.flush()
+    finally:
+        os._exit(code)
+
+
+def _worker_failure(src: IO[bytes], status: int) -> BaseException:
+    """The exception a failed worker reported, or a WorkerError saying how it ended."""
+    import pickle
+    import signal
+
+    if os.WIFSIGNALED(status):
+        return WorkerError(f"mining worker killed by {signal.Signals(os.WTERMSIG(status)).name}")
+    src.seek(0)
+    try:
+        blob, text = _get(src)
+    except (EOFError, ValueError, TypeError):
+        return WorkerError(f"mining worker exited with status {os.waitstatus_to_exitcode(status)}")
+    try:
+        return pickle.loads(blob)
+    except Exception:
+        return WorkerError(text)
+
+
+def _kill_and_reap(pids: list[int]) -> None:
+    if pids:
+        import signal
+
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _mine_bins(
+    ult: UtilityTable, bins: list[list[int]], cfg: MiningConfig, stats: MiningStats
+) -> list[Rule]:
+    """Mine bin 0 here and every other bin in a forked worker; the rules
+    in first-appearance item order, with every counter summed on stats.
+
+    Every worker is reaped before this returns or raises: one that has
+    not finished by then is killed first.
+    """
+    outs: list[IO[bytes]] = []
+    running: list[int] = []
+    parent = os.getpid()
+    try:
+        for items in bins[1:]:
+            out = tempfile.TemporaryFile()
+            outs.append(out)
+            pid = os.fork()
+            if pid == 0:
+                _run_worker(out, ult, items, cfg, parent)
+            running.append(pid)
+        own = list(_mine_items(ult, bins[0], cfg, stats))
+        for out in outs:
+            _, status = os.waitpid(running[0], 0)
+            del running[0]
+            if status != 0:
+                raise _worker_failure(out, status)
+            out.seek(0)
+        bin_of = {item: b for b, items in enumerate(bins) for item in items}
+        own.reverse()
+        rules: list[Rule] = []
+        for item in ult.item_positions:
+            b = bin_of[item]
+            chunk = own.pop() if b == 0 else _get(outs[b - 1])
+            rules.extend(starmap(Rule, chunk))
+        for out in outs:
+            candidates, rrs_prunes, view_prunes = _get(out)
+            stats.candidates += candidates
+            stats.rrs_prunes += rrs_prunes
+            stats.view_prunes += view_prunes
+        return rules
+    finally:
+        _kill_and_reap(running)
+        for out in outs:
+            out.close()
+
+
+@gc_paused()
+def mine(db: SequenceDatabase, cfg: MiningConfig) -> tuple[list[Rule], MiningStats]:
+    """Mine every totally ordered rule meeting both thresholds.
+
+    Output order is deterministic: depth-first over the utility table's
+    items in first-appearance order, children in scan order, cuts left
+    to right. It does not depend on how the items were split over
+    worker processes.
+    Cyclic garbage collection is paused for the call (see gc_paused);
+    forked workers inherit the pause.
+    """
+    start = time.perf_counter()
+    stats = MiningStats(minutil=cfg.minutil)
+    stats.sequences = len(db.sequences)
+    stats.distinct_items = len(db.distinct_items())
+    work = dedup_max_utility(db) if cfg.dedup else db
+    if cfg.use_seu_prune:
+        work = prune_unpromising(work, cfg.minutil, distinct_max=cfg.seu_distinct_max)
+    ult = build_ult(work, use_rru=cfg.use_rru, minutil=cfg.minutil)
+    stats.items_after_pruning = len(ult.item_positions)
+    rules = _mine_bins(ult, _split(ult), cfg, stats)
     stats.rules = len(rules)
     stats.runtime_ms = int((time.perf_counter() - start) * 1000)
     return rules, stats

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import husrm.miner as miner
 from husrm import cli
 from husrm.datagen import GenParams, generate
 from husrm.miner import MiningConfig, mine
@@ -217,7 +218,7 @@ def test_criterion_6_threshold_monotonicity(corpus, grid_results):
     print("acceptance criterion 6 (threshold monotonicity): PASS")
 
 
-def test_criterion_7_determinism_and_parallel_equivalence(tmp_path):
+def test_criterion_7_determinism_and_parallel_equivalence(tmp_path, monkeypatch):
     sample = tmp_path / "sample.usdb"
     sample.write_text(SAMPLE_NATIVE, encoding="utf-8")
     generated = tmp_path / "gen.usdb"
@@ -238,7 +239,19 @@ def test_criterion_7_determinism_and_parallel_equivalence(tmp_path):
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
-    print("acceptance criterion 7 (determinism across runs): PASS")
+        # The pool of worker processes, forced on whatever the table size
+        # and CPU count, against a forced single bin.
+        monkeypatch.setattr(miner, "PARALLEL_MIN_EVENTS", 0)
+        for cpus in (3, 1):
+            monkeypatch.setattr(miner, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"{source.stem}-{cpus}-bins.rules"
+            code = cli.main(
+                ["mine", str(source), "--delta", delta, "--minconf", "0.6", "--out", str(out)]
+            )
+            assert code == 0
+            assert out.read_bytes() == outs[0]
+        monkeypatch.undo()
+    print("acceptance criterion 7 (determinism across runs and worker counts): PASS")
 
 
 def test_criterion_8_desk_scale_performance():

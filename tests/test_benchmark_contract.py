@@ -71,7 +71,7 @@ def test_job_measures_the_utility_table(sample_path, tmp_path):
     assert run_job("ult-bytes", sample_path, tmp_path)["ult_bytes"] > 0
 
 
-@pytest.mark.parametrize("workload", ["search-sparse", "ingest-wide"])
+@pytest.mark.parametrize("workload", ["search-sparse", "ingest-wide", "rule-flood"])
 def test_traced_benchmark_run_is_correct(workload, tmp_path):
     # run.py works in a directory beside the checkout's src/; a copy keeps
     # its files out of this checkout and away from a concurrent run.

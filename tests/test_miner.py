@@ -103,7 +103,7 @@ def test_rule_produce_emits_all_cuts_from_the_found_start():
     got = []
     n = rule_produce(srt, MiningConfig(Threshold(1, 1), Threshold(6, 10)), got.append)
     assert n == 1
-    assert [r.key() for r in got] == [((0, 1, 2), (3,), 100, 2, 3)]
+    assert got == [((0, 1, 2), (3,), 100, 2, 3)]
 
 
 def test_rule_produce_rejects_low_utility_or_confidence():
@@ -136,7 +136,7 @@ def test_rule_produce_small_scope_examples(small_db):
     srt.push_row(row_c)
     got = []
     assert rule_produce(srt, cfg, got.append) == 1
-    assert got[0].key() == ((items.id_of("a"),), (items.id_of("c"),), 8, 2, 2)
+    assert got == [((items.id_of("a"),), (items.id_of("c"),), 8, 2, 2)]
     row_f = next(r for r in scan_extensions(ult, srt) if r.item == items.id_of("f"))
     srt.push_row(row_f)
     assert rule_produce(srt, cfg, got.append) == 0
