@@ -9,14 +9,16 @@ utility within the suffix, and by ignoring later duplicates of the
 position's own item; on duplicate-free sequences the two coincide.
 Every bound here reads a sequence's item and utility columns directly;
 both per-position bounds take one pass per sequence, and the tests check
-them against their definitional forms.
+them against their definitional forms. The rru pass ends holding the
+sequence's distinct-max utility and returns it beside its column.
 
 The successor table (EUCP, from FHM and HUSRM) blocks extensions by
 item pairs: eu(x, y) sums the per-sequence distinct-max utility over the
 sequences in which some x occurs before some y. A path's utility is at
 most eu(p, y) for every item p before y on it, so an item y with
 eu(p, y) < minutil for some path item p heads no subtree that emits a
-rule.
+rule. It takes each sequence's term from the rru pass rather than
+computing it again.
 """
 
 from itertools import accumulate, compress
@@ -80,11 +82,15 @@ def ru_values(utils: tuple[int, ...]) -> list[int]:
     return out
 
 
-def rru_values(items: tuple[int, ...], utils: tuple[int, ...]) -> list[int]:
-    """Reduced remaining utility at every position, in one backward pass.
+def rru_values(items: tuple[int, ...], utils: tuple[int, ...]) -> tuple[list[int], int]:
+    """Reduced remaining utility at every position, in one backward pass,
+    and the sequence's distinct-max utility.
 
     Maintains the running sum of per-item suffix maxima; the position's
-    own item's contribution is subtracted back out.
+    own item's contribution is subtracted back out. Once the pass has
+    reached position 0 the running sum covers the whole sequence, so it
+    is the sequence's distinct-max utility (its seu term), returned
+    beside the column.
     """
     n = len(items)
     out = [0] * n
@@ -98,32 +104,25 @@ def rru_values(items: tuple[int, ...], utils: tuple[int, ...]) -> list[int]:
         if utility > prev:
             suffix_max[item] = utility
             running += utility - prev
-    return out
+    return out, running
 
 
 def successor_sets(
     seq_items: dict[int, tuple[int, ...]],
-    seq_utils: dict[int, tuple[int, ...]],
+    terms: dict[int, int],
     item_positions: dict[int, dict[int, list[int]]],
     minutil: Threshold,
 ) -> dict[int, frozenset[int]]:
     """EUCP successor table of the utility table: y in out[x] iff eu(x, y) >= minutil.
 
-    out[x] never holds x itself. At minutil 0 it holds exactly the items
-    that occur after some x in some sequence, so it blocks nothing. The
-    table is built one antecedent item at a time from the item index
-    (item -> sid -> positions), so only the surviving pairs are ever held
-    at once.
+    terms[sid] is the distinct-max utility of sequence sid, as
+    rru_values returns it. out[x] never holds x itself. At minutil 0 it
+    holds exactly the items that occur after some x in some sequence, so
+    it blocks nothing. The table is built one antecedent item at a time
+    from the item index (item -> sid -> positions), so only the
+    surviving pairs are ever held at once.
     """
     num, den = minutil.numerator, minutil.denominator
-    # The distinct-max utility (the seu term) of every sequence.
-    terms: dict[int, int] = {}
-    for sid, items_s in seq_items.items():
-        maxima: dict[int, int] = {}
-        for it, u in zip(items_s, seq_utils[sid]):
-            if u > maxima.get(it, -1):
-                maxima[it] = u
-        terms[sid] = sum(maxima.values())
     out: dict[int, frozenset[int]] = {}
     for x, positions_by_sid in item_positions.items():
         eu: dict[int, int] = {}

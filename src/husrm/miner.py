@@ -22,9 +22,10 @@ reading the table the fork shared copy-on-write. A child writes its
 rules, item by item, as plain marshal fields to an unnamed file opened
 before the fork, and its counters last. The parent then builds every
 Rule once, in first-appearance item order, and sums the counters, so the
-rules and stats equal a one-bin run's. Mining stays in one bin (no fork)
-on one CPU, without os.fork or os.sched_getaffinity, while another
-thread runs, and for a table below PARALLEL_MIN_EVENTS events.
+rules and stats equal a one-bin run's. A child whose parent is gone
+exits within 50 ms, mid-item if need be. Mining stays in one bin (no
+fork) on one CPU, without os.fork or os.sched_getaffinity, while
+another thread runs, and for a table below PARALLEL_MIN_EVENTS events.
 
 A child passes two gates before it is pushed: the paper's rrs bound,
 checked on the aggregates of the first scan phase, then the view bound
@@ -283,6 +284,10 @@ def _split(ult: UtilityTable) -> list[list[int]]:
     return bins
 
 
+# Records are length-prefixed so that _get reads each one with a single
+# read and decodes it from bytes: marshal.load on the file object issues
+# one readinto per field (23.5 ms against 0.8 ms on a chunk of 41,000
+# rule-field tuples).
 def _put(out: IO[bytes], obj: object) -> None:
     blob = marshal.dumps(obj)
     out.write(len(blob).to_bytes(8, "little"))
@@ -294,6 +299,12 @@ def _get(src: IO[bytes]) -> Any:
     return marshal.loads(src.read(size))
 
 
+def _exit_when_orphaned(parent: int) -> NoReturn:
+    while os.getppid() == parent:
+        time.sleep(0.05)
+    os._exit(1)
+
+
 def _run_worker(
     out: IO[bytes], ult: UtilityTable, items: list[int], cfg: MiningConfig, parent: int
 ) -> NoReturn:
@@ -302,20 +313,21 @@ def _run_worker(
     On success out holds one record per item and the counters, and the
     exit status is 0. On any exception, interrupts included, out holds
     only the pickled exception and its text, and the status is 1. A
-    worker whose parent died (killed without a chance to reap it) stops
-    at its next item. The worker never returns into the caller's code,
-    and os._exit skips the interpreter's teardown and the stdio buffers
-    inherited from the parent, which the parent flushes itself.
+    daemon thread polls the parent's pid every 50 ms, so a worker whose
+    parent died (killed without a chance to reap it) exits within that
+    time, even in the middle of an item. The worker never returns into
+    the caller's code, and os._exit skips the interpreter's teardown and
+    the stdio buffers inherited from the parent, which the parent
+    flushes itself.
     """
     import pickle  # here, not at module level: only a failure needs it
 
+    threading.Thread(target=_exit_when_orphaned, args=(parent,), daemon=True).start()
     code = 1
     try:
         try:
             stats = MiningStats()
             for chunk in _mine_items(ult, items, cfg, stats):
-                if os.getppid() != parent:
-                    os._exit(1)
                 _put(out, chunk)
             _put(out, (stats.candidates, stats.rrs_prunes, stats.view_prunes))
             code = 0

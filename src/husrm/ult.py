@@ -6,7 +6,10 @@ than copied, so each event is stored once from parse to search.
 seq_rrus holds the utility bound used by extension scoring at every
 position (rru, or plain ru when the table is built in ru mode). A
 forward projection scan is a walk over one sequence's column slices and
-never touches the raw database again.
+never touches the raw database again. The rru pass also yields each
+sequence's distinct-max utility; build_ult uses it once, for the
+successor sets, and does not store it. In ru mode the rru pass still
+runs for that term alone.
 
 item_positions[item] maps each sid containing the item to the item's
 0-based positions in that sequence, sids in database order. Its keys
@@ -64,6 +67,7 @@ def build_ult(
     seq_items: dict[int, tuple[int, ...]] = {}
     seq_utils: dict[int, tuple[int, ...]] = {}
     seq_rrus: dict[int, tuple[int, ...]] = {}
+    terms: dict[int, int] = {}
     item_positions: dict[int, dict[int, list[int]]] = {}
     for seq in db.sequences:
         sid = seq.sid
@@ -79,12 +83,13 @@ def build_ult(
                 positions.append(k)
         seq_items[sid] = items
         seq_utils[sid] = seq.utils
-        seq_rrus[sid] = tuple(rru_values(items, seq.utils) if use_rru else ru_values(seq.utils))
+        rrus, terms[sid] = rru_values(items, seq.utils)
+        seq_rrus[sid] = tuple(rrus if use_rru else ru_values(seq.utils))
     return UtilityTable(
         n_item_ids=len(db.items),
         seq_items=seq_items,
         seq_utils=seq_utils,
         seq_rrus=seq_rrus,
         item_positions=item_positions,
-        successors=successor_sets(seq_items, seq_utils, item_positions, minutil),
+        successors=successor_sets(seq_items, terms, item_positions, minutil),
     )

@@ -124,7 +124,11 @@ def naive_rru(events, k):
 def test_fast_value_passes_match_definitions(seed):
     db = make_random_db(seed)
     for seq in db.sequences:
-        rrus = rru_values(seq.items, seq.utils)
+        rrus, term = rru_values(seq.items, seq.utils)
+        best: dict[int, int] = {}
+        for ev in seq.events:
+            best[ev.item] = max(best.get(ev.item, 0), ev.utility)
+        assert term == sum(best.values())
         rus = ru_values(seq.utils)
         for k in range(len(seq.events)):
             ref = PositionRef(seq.sid, k + 1)

@@ -215,7 +215,7 @@ from husrm.datagen import GenParams, generate
 from husrm.miner import MiningConfig, mine
 from husrm.model import Threshold
 
-pid_file = sys.argv[1]
+pid_file, item_s = sys.argv[1], float(sys.argv[2])
 miner._usable_cpus = lambda: 2
 miner.PARALLEL_MIN_EVENTS = 0
 parent = os.getpid()
@@ -230,7 +230,7 @@ def init_row_then_wait(ult, item):
         with open(pid_file + ".tmp", "w") as f:
             f.write(str(os.getpid()))
         os.rename(pid_file + ".tmp", pid_file)
-    time.sleep(0.3)
+    time.sleep(item_s)
     return init_row(ult, item)
 
 miner.init_row = init_row_then_wait
@@ -247,14 +247,17 @@ def running(pid):
         return False
 
 
+# Each top-level item takes item_s; an orphaned worker must be gone within
+# deadline_s, which for the long item is well before its current item ends.
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
-def test_a_worker_stops_when_its_parent_is_killed(tmp_path):
+@pytest.mark.parametrize("item_s, deadline_s", [(0.3, 3), (10, 1)])
+def test_a_worker_stops_when_its_parent_is_killed(tmp_path, item_s, deadline_s):
     pid_file = tmp_path / "worker.pid"
     # No pipes: the orphaned worker would hold them open and run() would
     # wait for it.
     with open(tmp_path / "stderr", "wb") as err:
         proc = subprocess.run(
-            [sys.executable, "-c", ORPHAN_SCRIPT, str(pid_file)],
+            [sys.executable, "-c", ORPHAN_SCRIPT, str(pid_file), str(item_s)],
             env={**os.environ, "PYTHONPATH": str(SRC)},
             stdout=subprocess.DEVNULL,
             stderr=err,
@@ -262,7 +265,7 @@ def test_a_worker_stops_when_its_parent_is_killed(tmp_path):
         )
     assert proc.returncode == -signal.SIGKILL, (tmp_path / "stderr").read_text()
     worker = int(pid_file.read_text())
-    deadline = time.monotonic() + 3
+    deadline = time.monotonic() + deadline_s
     while running(worker) and time.monotonic() < deadline:
         time.sleep(0.02)
     assert not running(worker)

@@ -49,8 +49,13 @@ def test_table_at_minutil_zero_holds_exactly_the_ordered_pairs(seed):
     assert all(x not in ys for x, ys in table.items())
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_table_matches_the_pair_definition(seed):
+# rscr tables store ru but take their terms from the same rru pass.
+@pytest.mark.parametrize(
+    "seed, use_rru",
+    [pytest.param(seed, True, id=str(seed)) for seed in range(30)]
+    + [pytest.param(seed, False, id=f"{seed}-ru") for seed in range(30)],
+)
+def test_table_matches_the_pair_definition(seed, use_rru):
     db = make_random_db(seed)
     pairs = ordered_pairs(db)
     values = {pair: eu(db, *pair) for pair in pairs}
@@ -58,7 +63,7 @@ def test_table_matches_the_pair_definition(seed):
     for minutil in [thr("0.2").times(db.total_utility)] + [
         Threshold(value, 1) for value in set(values.values())
     ]:
-        table = build_ult(db, minutil=minutil).successors
+        table = build_ult(db, use_rru=use_rru, minutil=minutil).successors
         for (x, y), value in values.items():
             assert (y in table[x]) == (value * minutil.denominator >= minutil.numerator)
 
