@@ -20,7 +20,7 @@ pin them.
 import io
 import re
 from pathlib import Path
-from typing import IO, Iterable, TextIO
+from typing import IO, Iterable, Iterator, TextIO
 
 from .model import (
     U64_MAX,
@@ -247,13 +247,44 @@ def half_up(num: int, den: int, places: int) -> str:
     return f"{whole}.{str(frac).zfill(places)}"
 
 
+def _rule_lines(rules: Iterable[Rule], items: ItemTable) -> Iterator[str]:
+    """Each rule's line, newline included, in the order given.
+
+    A side's string is cached by its item tuple, and the cache is
+    cleared whenever the first antecedent item changes: in mining order
+    each top-level item's rules come together and every antecedent
+    starts with that item, so no antecedent repeats across the change and
+    the cache holds one item's sides at a time. Confidence strings are
+    cached by (support, antecedent_support). Any order gives the same
+    lines; other orders only hit the caches less.
+    """
+    token = items.tokens().__getitem__
+    sides: dict[tuple[int, ...], str] = {}
+    confs: dict[tuple[int, int], str] = {}
+    head = None
+    for rule in rules:
+        ant = rule.antecedent
+        if ant[0] != head:
+            head = ant[0]
+            sides.clear()
+        ant_text = sides.get(ant)
+        if ant_text is None:
+            ant_text = sides[ant] = ",".join(map(token, ant))
+        cons = rule.consequent
+        cons_text = sides.get(cons)
+        if cons_text is None:
+            cons_text = sides[cons] = ",".join(map(token, cons))
+        sup = rule.support
+        pair = (sup, rule.antecedent_support)
+        conf = confs.get(pair)
+        if conf is None:
+            conf = confs[pair] = half_up(sup, pair[1], 4)
+        yield f"{ant_text} ==> {cons_text} #UTIL: {rule.utility} #SUP: {sup} #CONF: {conf}\n"
+
+
 def format_rule(rule: Rule, items: ItemTable) -> str:
-    ant = ",".join(items.token_of(i) for i in rule.antecedent)
-    cons = ",".join(items.token_of(i) for i in rule.consequent)
-    return (
-        f"{ant} ==> {cons} #UTIL: {rule.utility} #SUP: {rule.support}"
-        f" #CONF: {half_up(rule.support, rule.antecedent_support, 4)}"
-    )
+    """One rule's line as write_rules writes it, without the newline."""
+    return next(_rule_lines((rule,), items))[:-1]
 
 
 def write_rules(
@@ -262,20 +293,21 @@ def write_rules(
     """Emit one rule per line, in mining order unless sort is requested.
 
     Sorted order is utility descending, then antecedent and consequent
-    token tuples lexicographically, for human consumption.
+    token tuples lexicographically, for human consumption. Every line
+    comes from one renderer, which formats each distinct rule side and
+    confidence once (see _rule_lines), and goes out in one write.
     """
-    rows = list(rules)
     if sort:
-        rows.sort(
+        token = items.tokens().__getitem__
+        rules = sorted(
+            rules,
             key=lambda r: (
                 -r.utility,
-                tuple(items.token_of(i) for i in r.antecedent),
-                tuple(items.token_of(i) for i in r.consequent),
-            )
+                tuple(map(token, r.antecedent)),
+                tuple(map(token, r.consequent)),
+            ),
         )
-    for rule in rows:
-        stream.write(format_rule(rule, items))
-        stream.write("\n")
+    stream.writelines(_rule_lines(rules, items))
 
 
 def write_stats(stats, stream: TextIO) -> None:

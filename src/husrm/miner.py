@@ -231,11 +231,18 @@ def _mine_items(
     """Grow each top-level item in turn and yield its rules' fields.
 
     Both sides of the pool run this loop. The counters accumulate on
-    stats; view_prunes is added once the last item is done.
+    stats; view_prunes is added once the last item is done. An item with
+    an empty successor set yields its empty chunk at once, with no row
+    built and no scan: every view of its row would be empty, and a path
+    of length 1 has no cut to emit.
     """
     srt = SequenceRecordTable()
+    successors = ult.successors
     for item in items:
         chunk: list[RuleFields] = []
+        if not successors[item]:
+            yield chunk
+            continue
         sink = chunk.append
         srt.push_row(init_row(ult, item))
         # pending[d] yields the not yet grown children of srt.rows[d].

@@ -1,5 +1,7 @@
 import io
+import math
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -334,6 +336,69 @@ def test_format_rule_single(sample_db):
     items = sample_db.items
     rule = Rule((items.id_of("e"),), (items.id_of("b"),), 14, 1, 1)
     assert format_rule(rule, items) == "e ==> b #UTIL: 14 #SUP: 1 #CONF: 1.0000"
+
+
+def reference_line(rule, items):
+    """A rule's line spelled out token by token, with exact half-up rounding."""
+    ant = ",".join(items.token_of(i) for i in rule.antecedent)
+    cons = ",".join(items.token_of(i) for i in rule.consequent)
+    k = math.floor(Fraction(rule.support, rule.antecedent_support) * 10_000 + Fraction(1, 2))
+    return (
+        f"{ant} ==> {cons} #UTIL: {rule.utility} #SUP: {rule.support}"
+        f" #CONF: {k // 10_000}.{k % 10_000:04d}\n"
+    )
+
+
+def assert_written_as_reference(rules, items):
+    buf = io.StringIO()
+    write_rules(rules, items, buf)
+    assert buf.getvalue() == "".join(reference_line(r, items) for r in rules)
+    by_tokens = lambda r: (
+        -r.utility,
+        tuple(items.token_of(i) for i in r.antecedent),
+        tuple(items.token_of(i) for i in r.consequent),
+    )
+    buf = io.StringIO()
+    write_rules(rules, items, buf, sort=True)
+    assert buf.getvalue() == "".join(reference_line(r, items) for r in sorted(rules, key=by_tokens))
+
+
+def test_write_rules_of_a_rule_flood_match_the_reference():
+    db = generate(GenParams(400, 12, 12.0, 40, 1, 10, 1.0, seed=1))
+    cfg = MiningConfig(Threshold.from_string("0.03").times(db.total_utility), Threshold(1, 10))
+    rules, _ = mine(db, cfg)
+    assert len(rules) > 1000
+    assert_written_as_reference(rules, db.items)
+
+
+def test_write_rules_when_the_first_antecedent_item_alternates():
+    items = ItemTable(["a", "b", "c", "d"])
+    a, b, c, d = range(4)
+    rules = [
+        Rule((a,), (c, d), 9, 2, 3),
+        Rule((a, c), (d,), 9, 2, 2),
+        Rule((b,), (c, d), 7, 2, 3),
+        Rule((b, c), (d,), 7, 1, 2),
+        Rule((a,), (c, d), 5, 1, 3),
+        Rule((a, c), (d,), 5, 1, 2),
+        Rule((a,), (c,), 4, 2, 3),
+        Rule((a,), (d,), 4, 2, 3),
+    ]
+    assert_written_as_reference(rules, items)
+
+
+def test_write_rules_keeps_colons_and_non_ascii_in_labels():
+    items = ItemTable(["a:b", "é", "ß:1", "日本"])
+    rules = [
+        Rule((0, 1), (2,), 12, 2, 3),
+        Rule((0,), (1, 2), 12, 2, 3),
+        Rule((3,), (0, 1), 30, 1, 1),
+    ]
+    buf = io.StringIO()
+    write_rules(rules[:1], items, buf)
+    assert buf.getvalue() == "a:b,é ==> ß:1 #UTIL: 12 #SUP: 2 #CONF: 0.6667\n"
+    assert format_rule(rules[2], items) == "日本 ==> a:b,é #UTIL: 30 #SUP: 1 #CONF: 1.0000"
+    assert_written_as_reference(rules, items)
 
 
 def test_loaded_database_keeps_each_event_once(tmp_path):

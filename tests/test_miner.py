@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import husrm.miner as miner
+from husrm.datagen import GenParams, generate
 from husrm.miner import (
     MiningConfig,
     find_cut_start,
@@ -38,6 +40,30 @@ def test_sample_rule_set(sample_db):
     assert stats.sequences == 5
     assert stats.distinct_items == 6
     assert stats.items_after_pruning == 5
+
+
+@pytest.mark.parametrize(
+    "db, delta, minconf",
+    [("sample", "0.1", "0.6"), (GenParams(2000, 200, 6.0, 40, seed=1), "0.02", "0.1")],
+    ids=["sample", "gen"],
+)
+def test_only_items_with_successors_get_a_row(db, delta, minconf, sample_db, monkeypatch):
+    db = sample_db if db == "sample" else generate(db)
+    cfg = MiningConfig(thr(delta).times(db.total_utility), thr(minconf))
+    ult = miner.build_ult(miner.prune_unpromising(db, cfg.minutil), minutil=cfg.minutil)
+    grown = [item for item in ult.item_positions if ult.successors[item]]
+    assert 0 < len(grown) < len(ult.item_positions)
+    calls = []
+    init_row = miner.init_row
+
+    def counting_init_row(ult, item):
+        calls.append(item)
+        return init_row(ult, item)
+
+    monkeypatch.setattr(miner, "init_row", counting_init_row)
+    monkeypatch.setattr(miner, "_usable_cpus", lambda: 1)
+    mine(db, cfg)
+    assert calls == grown
 
 
 def test_zero_rules_above_total_utility(sample_db):

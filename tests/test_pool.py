@@ -120,11 +120,12 @@ def test_split_keeps_one_bin_below_the_cut_off_or_on_one_cpu(force_bins, monkeyp
 
 
 def fail_in_bin(monkeypatch, db, cfg, force_bins, b, action):
-    """Make init_row run action() on the first item of bin b (0: the caller's)."""
+    """Make init_row run action() on the first item of bin b (0: the caller's)
+    that gets a row: an item with no successors gets none."""
     force_bins(2)
     work = miner.prune_unpromising(db, cfg.minutil)
-    bins = miner._split(miner.build_ult(work, minutil=cfg.minutil))
-    bad = bins[b][0]
+    ult = miner.build_ult(work, minutil=cfg.minutil)
+    bad = next(item for item in miner._split(ult)[b] if ult.successors[item])
     init_row = miner.init_row
 
     def failing_init_row(ult, item):
