@@ -258,7 +258,7 @@ def _rule_lines(rules: Iterable[Rule], items: ItemTable) -> Iterator[str]:
     cached by (support, antecedent_support). Any order gives the same
     lines; other orders only hit the caches less.
     """
-    token = items.tokens().__getitem__
+    token = items.token_of
     sides: dict[tuple[int, ...], str] = {}
     confs: dict[tuple[int, int], str] = {}
     head = None

@@ -17,15 +17,17 @@ by memory, not by the interpreter's recursion limit. Top-level items are
 independent once the table is built, so mine splits them into one bin
 per usable CPU before any search starts: items by descending count of
 sequences, ties in first-appearance order, each to the least-loaded bin.
+Every bin, the caller's included, writes its rules item by item as plain
+marshal fields to its own unnamed temporary file, and its counters last.
 The calling process grows bin 0 and a forked child grows each other bin,
-reading the table the fork shared copy-on-write. A child writes its
-rules, item by item, as plain marshal fields to an unnamed file opened
-before the fork, and its counters last. The parent then builds every
-Rule once, in first-appearance item order, and sums the counters, so the
-rules and stats equal a one-bin run's. A child whose parent is gone
-exits within 50 ms, mid-item if need be. Mining stays in one bin (no
-fork) on one CPU, without os.fork or os.sched_getaffinity, while
-another thread runs, and for a table below PARALLEL_MIN_EVENTS events.
+reading the table the fork shared copy-on-write. The caller then reads
+every file back, builds each Rule once in first-appearance item order,
+and sums the counters, so the rules and stats equal a one-bin run's.
+Mining therefore needs a writable temporary directory, even in one bin.
+A child whose parent is gone exits within 50 ms, mid-item if need be.
+Mining stays in one bin (no fork) on one CPU, without os.fork or
+os.sched_getaffinity, while another thread runs, and for a table below
+PARALLEL_MIN_EVENTS events.
 
 A child passes two gates before it is pushed: the paper's rrs bound,
 checked on the aggregates of the first scan phase, then the view bound
@@ -46,7 +48,7 @@ import threading
 import time
 from dataclasses import dataclass
 from itertools import starmap
-from typing import IO, Any, Callable, Iterator, NoReturn, Sequence as Seq
+from typing import IO, Any, Callable, NoReturn, Sequence as Seq
 
 from .bounds import prune_unpromising
 from .dataio import dedup_max_utility
@@ -225,37 +227,50 @@ def srt_growth(
     return _extensions(ult, srt, cfg, stats)
 
 
-def _mine_items(
-    ult: UtilityTable, items: list[int], cfg: MiningConfig, stats: MiningStats
-) -> Iterator[list[RuleFields]]:
-    """Grow each top-level item in turn and yield its rules' fields.
+# Records are length-prefixed so that _get reads each one with a single
+# read and decodes it from bytes: marshal.load on the file object issues
+# one readinto per field (23.5 ms against 0.8 ms on a chunk of 41,000
+# rule-field tuples).
+def _put(out: IO[bytes], obj: object) -> None:
+    blob = marshal.dumps(obj)
+    out.write(len(blob).to_bytes(8, "little"))
+    out.write(blob)
 
-    Both sides of the pool run this loop. The counters accumulate on
-    stats; view_prunes is added once the last item is done. An item with
-    an empty successor set yields its empty chunk at once, with no row
-    built and no scan: every view of its row would be empty, and a path
-    of length 1 has no cut to emit.
+
+def _get(src: IO[bytes]) -> Any:
+    size = int.from_bytes(src.read(8), "little")
+    return marshal.loads(src.read(size))
+
+
+def _mine_bin(out: IO[bytes], ult: UtilityTable, items: list[int], cfg: MiningConfig) -> None:
+    """Grow a bin's top-level items in turn, writing one record of rule
+    fields per item to out, then the (candidates, rrs_prunes,
+    view_prunes) record.
+
+    The caller runs this for bin 0 and each worker for its own bin. An
+    item with an empty successor set gets its empty record at once, with
+    no row built and no scan: every view of its row would be empty, and
+    a path of length 1 has no cut to emit.
     """
+    stats = MiningStats()
     srt = SequenceRecordTable()
     successors = ult.successors
     for item in items:
         chunk: list[RuleFields] = []
-        if not successors[item]:
-            yield chunk
-            continue
-        sink = chunk.append
-        srt.push_row(init_row(ult, item))
-        # pending[d] yields the not yet grown children of srt.rows[d].
-        pending = [iter(_extensions(ult, srt, cfg, stats))]
-        while pending:
-            row = next(pending[-1], None)
-            if row is None:
-                pending.pop()
-                srt.pop_row()
-            else:
-                pending.append(iter(srt_growth(ult, srt, row, cfg, sink, stats)))
-        yield chunk
-    stats.view_prunes += srt.view_prunes
+        if successors[item]:
+            sink = chunk.append
+            srt.push_row(init_row(ult, item))
+            # pending[d] yields the not yet grown children of srt.rows[d].
+            pending = [iter(_extensions(ult, srt, cfg, stats))]
+            while pending:
+                row = next(pending[-1], None)
+                if row is None:
+                    pending.pop()
+                    srt.pop_row()
+                else:
+                    pending.append(iter(srt_growth(ult, srt, row, cfg, sink, stats)))
+        _put(out, chunk)
+    _put(out, (stats.candidates, stats.rrs_prunes, srt.view_prunes))
 
 
 def _usable_cpus() -> int:
@@ -291,21 +306,6 @@ def _split(ult: UtilityTable) -> list[list[int]]:
     return bins
 
 
-# Records are length-prefixed so that _get reads each one with a single
-# read and decodes it from bytes: marshal.load on the file object issues
-# one readinto per field (23.5 ms against 0.8 ms on a chunk of 41,000
-# rule-field tuples).
-def _put(out: IO[bytes], obj: object) -> None:
-    blob = marshal.dumps(obj)
-    out.write(len(blob).to_bytes(8, "little"))
-    out.write(blob)
-
-
-def _get(src: IO[bytes]) -> Any:
-    size = int.from_bytes(src.read(8), "little")
-    return marshal.loads(src.read(size))
-
-
 def _exit_when_orphaned(parent: int) -> NoReturn:
     while os.getppid() == parent:
         time.sleep(0.05)
@@ -315,17 +315,16 @@ def _exit_when_orphaned(parent: int) -> NoReturn:
 def _run_worker(
     out: IO[bytes], ult: UtilityTable, items: list[int], cfg: MiningConfig, parent: int
 ) -> NoReturn:
-    """Body of a forked worker: mine items into out, then leave the process.
+    """Body of a forked worker: run _mine_bin into out, then leave the process.
 
-    On success out holds one record per item and the counters, and the
-    exit status is 0. On any exception, interrupts included, out holds
-    only the pickled exception and its text, and the status is 1. A
-    daemon thread polls the parent's pid every 50 ms, so a worker whose
-    parent died (killed without a chance to reap it) exits within that
-    time, even in the middle of an item. The worker never returns into
-    the caller's code, and os._exit skips the interpreter's teardown and
-    the stdio buffers inherited from the parent, which the parent
-    flushes itself.
+    On success out holds what _mine_bin wrote, and the exit status is 0.
+    On any exception, interrupts included, out holds only the pickled
+    exception and its text, and the status is 1. A daemon thread polls
+    the parent's pid every 50 ms, so a worker whose parent died (killed
+    without a chance to reap it) exits within that time, even in the
+    middle of an item. The worker never returns into the caller's code,
+    and os._exit skips the interpreter's teardown and the stdio buffers
+    inherited from the parent, which the parent flushes itself.
     """
     import pickle  # here, not at module level: only a failure needs it
 
@@ -333,10 +332,7 @@ def _run_worker(
     code = 1
     try:
         try:
-            stats = MiningStats()
-            for chunk in _mine_items(ult, items, cfg, stats):
-                _put(out, chunk)
-            _put(out, (stats.candidates, stats.rrs_prunes, stats.view_prunes))
+            _mine_bin(out, ult, items, cfg)
             code = 0
         except BaseException as exc:  # reported to the parent, which re-raises it
             out.seek(0)
@@ -377,37 +373,38 @@ def _kill_and_reap(pids: list[int]) -> None:
 def _mine_bins(
     ult: UtilityTable, bins: list[list[int]], cfg: MiningConfig, stats: MiningStats
 ) -> list[Rule]:
-    """Mine bin 0 here and every other bin in a forked worker; the rules
-    in first-appearance item order, with every counter summed on stats.
+    """Mine bin 0 here and every other bin in a forked worker, each into
+    its own temporary file; the rules in first-appearance item order,
+    with every bin's counters summed on stats.
 
-    Every worker is reaped before this returns or raises: one that has
-    not finished by then is killed first.
+    Every file is opened before the first fork, so a missing temporary
+    directory fails before any worker exists. Every worker is reaped
+    before this returns or raises: one that has not finished by then is
+    killed first.
     """
     outs: list[IO[bytes]] = []
     running: list[int] = []
     parent = os.getpid()
     try:
-        for items in bins[1:]:
-            out = tempfile.TemporaryFile()
-            outs.append(out)
+        for _ in bins:
+            outs.append(tempfile.TemporaryFile())
+        for out, items in zip(outs[1:], bins[1:]):
             pid = os.fork()
             if pid == 0:
                 _run_worker(out, ult, items, cfg, parent)
             running.append(pid)
-        own = list(_mine_items(ult, bins[0], cfg, stats))
-        for out in outs:
+        _mine_bin(outs[0], ult, bins[0], cfg)
+        for out in outs[1:]:
             _, status = os.waitpid(running[0], 0)
             del running[0]
             if status != 0:
                 raise _worker_failure(out, status)
+        for out in outs:
             out.seek(0)
         bin_of = {item: b for b, items in enumerate(bins) for item in items}
-        own.reverse()
         rules: list[Rule] = []
         for item in ult.item_positions:
-            b = bin_of[item]
-            chunk = own.pop() if b == 0 else _get(outs[b - 1])
-            rules.extend(starmap(Rule, chunk))
+            rules.extend(starmap(Rule, _get(outs[bin_of[item]])))
         for out in outs:
             candidates, rrs_prunes, view_prunes = _get(out)
             stats.candidates += candidates

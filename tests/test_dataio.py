@@ -338,6 +338,23 @@ def test_format_rule_single(sample_db):
     assert format_rule(rule, items) == "e ==> b #UTIL: 14 #SUP: 1 #CONF: 1.0000"
 
 
+def test_format_rule_and_unsorted_write_rules_copy_no_token_table(sample_db, monkeypatch):
+    # Each line reads only its own tokens, so one format_rule call costs
+    # O(rule length), not O(items).
+    items = sample_db.items
+    e, b, c = items.id_of("e"), items.id_of("b"), items.id_of("c")
+    rules = [Rule((e,), (b,), 14, 1, 1), Rule((c, e), (b,), 9, 2, 3)]
+
+    def no_copy(self):
+        raise AssertionError("ItemTable.tokens() called")
+
+    monkeypatch.setattr(ItemTable, "tokens", no_copy)
+    assert format_rule(rules[0], items) == "e ==> b #UTIL: 14 #SUP: 1 #CONF: 1.0000"
+    buf = io.StringIO()
+    write_rules(rules, items, buf)
+    assert buf.getvalue() == "".join(reference_line(r, items) for r in rules)
+
+
 def reference_line(rule, items):
     """A rule's line spelled out token by token, with exact half-up rounding."""
     ant = ",".join(items.token_of(i) for i in rule.antecedent)

@@ -13,6 +13,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -30,6 +31,9 @@ from conftest import make_random_db, thr
 SHAPES = {
     "search-sparse": (GenParams(450, 7312, 27.0, 213, 1, 10, 1.0, seed=1), "0.01", "0.6"),
     "rule-flood": (GenParams(400, 12, 12.0, 40, 1, 10, 1.0, seed=1), "0.03", "0.1"),
+    # 39 of its 63 items have no successors, so empty item records land
+    # in every bin position.
+    "ingest-wide": (GenParams(3000, 1000, 6.0, 40, 1, 10, 1.0, seed=1), "0.02", "0.1"),
 }
 FAILING_DB = GenParams(300, 40, 6.0, 20, seed=3)
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -206,6 +210,26 @@ def test_cli_exits_1_with_one_line_when_a_worker_fails(
     assert out == ""
     assert err.count("[config] command=mine") == 1
     assert [line for line in err.splitlines() if not line.startswith("[config]")] == [message]
+    assert_no_worker_left()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_cli_exits_2_with_one_line_without_a_temp_directory(
+    n, force_bins, monkeypatch, tmp_path, capsys
+):
+    # Every bin, the caller's included, writes its records to a temp file.
+    db = generate(FAILING_DB)
+    path = tmp_path / "db.usdb"
+    with path.open("w", encoding="utf-8") as stream:
+        write_native(db, stream)
+    force_bins(n)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    assert cli.main(["mine", str(path), "--delta", "0.01"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("[config] command=mine") == 1
+    lines = [line for line in err.splitlines() if not line.startswith("[config]")]
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
     assert_no_worker_left()
 
 
