@@ -4,9 +4,12 @@ Discovers all totally ordered sequential rules whose utility and
 confidence clear exact rational thresholds, using utility-table
 projection, utility upper-bound pruning, and one-pass confidence-guided
 cut emission, with a brute-force reference miner for verification.
+
+The package root exports the pipeline (load, mine, verify, generate,
+write), its types and its errors. The search's own steps (the utility
+table, the path table, its scans, the bounds) stay in their modules.
 """
 
-from .bounds import prune_unpromising, seu_per_item
 from .dataio import (
     ParseError,
     dedup_max_utility,
@@ -19,18 +22,8 @@ from .dataio import (
     write_stats,
 )
 from .datagen import GenParams, generate
-from .miner import (
-    VARIANTS,
-    MiningConfig,
-    MiningStats,
-    WorkerError,
-    find_cut_start,
-    mine,
-    rule_produce,
-    srt_growth,
-)
+from .miner import VARIANTS, MiningConfig, MiningStats, WorkerError, mine
 from .model import (
-    Event,
     InvariantError,
     ItemTable,
     Rule,
@@ -38,22 +31,12 @@ from .model import (
     SequenceDatabase,
     Threshold,
     build_database,
-    compare_at_least,
-    confidence_at_least,
 )
-from .oracle import (
-    OracleConfig,
-    max_embedding_utility,
-    oracle_mine,
-    support_of,
-)
-from .srt import SeqOccurrences, SequenceRecordTable, SrtRow, init_row, scan_extensions
-from .ult import UtilityTable, build_ult
+from .oracle import OracleConfig, oracle_mine
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Event",
     "GenParams",
     "InvariantError",
     "ItemTable",
@@ -62,36 +45,20 @@ __all__ = [
     "OracleConfig",
     "ParseError",
     "Rule",
-    "SeqOccurrences",
     "Sequence",
     "SequenceDatabase",
-    "SequenceRecordTable",
-    "SrtRow",
     "Threshold",
-    "UtilityTable",
     "VARIANTS",
     "WorkerError",
     "build_database",
-    "build_ult",
-    "compare_at_least",
-    "confidence_at_least",
     "dedup_max_utility",
-    "find_cut_start",
     "format_rule",
     "generate",
-    "init_row",
     "load_database",
-    "max_embedding_utility",
     "mine",
     "oracle_mine",
     "parse_native",
     "parse_spmf",
-    "prune_unpromising",
-    "rule_produce",
-    "scan_extensions",
-    "seu_per_item",
-    "srt_growth",
-    "support_of",
     "write_native",
     "write_rules",
     "write_stats",

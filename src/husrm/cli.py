@@ -15,6 +15,7 @@ import sys
 import time
 from argparse import ArgumentParser
 from contextlib import contextmanager
+from dataclasses import MISSING, fields
 
 from .dataio import format_rule, half_up, load_database, write_native, write_rules, write_stats
 from .datagen import GenParams, generate
@@ -142,32 +143,25 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+# gen's flags (by dest, which is also the echo key) and the GenParams
+# fields they set, in field order. A field's type and default are its
+# flag's; a field without a default makes its flag required.
+_GEN_FLAGS = {
+    "sequences": "num_sequences",
+    "alphabet": "alphabet_size",
+    "avg_len": "avg_length",
+    "max_len": "max_length",
+    "util_min": "utility_min",
+    "util_max": "utility_max",
+    "skew": "item_skew",
+    "seed": "seed",
+}
+
+
 def _cmd_gen(args) -> int:
-    _echo_config(
-        {
-            "command": "gen",
-            "sequences": args.sequences,
-            "alphabet": args.alphabet,
-            "avg_len": args.avg_len,
-            "max_len": args.max_len,
-            "util_min": args.util_min,
-            "util_max": args.util_max,
-            "skew": args.skew,
-            "seed": args.seed,
-            "out": args.out or "-",
-        }
-    )
-    params = GenParams(
-        num_sequences=args.sequences,
-        alphabet_size=args.alphabet,
-        avg_length=args.avg_len,
-        max_length=args.max_len,
-        utility_min=args.util_min,
-        utility_max=args.util_max,
-        item_skew=args.skew,
-        seed=args.seed,
-    )
-    db = generate(params)
+    values = {dest: getattr(args, dest) for dest in _GEN_FLAGS}
+    _echo_config({"command": "gen", **values, "out": args.out or "-"})
+    db = generate(GenParams(**{_GEN_FLAGS[dest]: value for dest, value in values.items()}))
     with _out_stream(args.out) as stream:
         write_native(db, stream)
     return EXIT_OK
@@ -262,14 +256,17 @@ def build_parser() -> ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("gen", help="generate a seeded synthetic database")
-    p.add_argument("--sequences", type=int, required=True)
-    p.add_argument("--alphabet", type=int, required=True)
-    p.add_argument("--avg-len", type=float, required=True)
-    p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--util-min", type=int, default=1)
-    p.add_argument("--util-max", type=int, default=9)
-    p.add_argument("--skew", type=float, default=1.0, help="Zipf exponent over item ranks")
-    p.add_argument("--seed", type=int, default=0)
+    field_of = {f.name: f for f in fields(GenParams)}
+    for dest, name in _GEN_FLAGS.items():
+        field = field_of[name]
+        required = field.default is MISSING
+        p.add_argument(
+            "--" + dest.replace("_", "-"),
+            type=field.type,
+            required=required,
+            default=None if required else field.default,
+            help="Zipf exponent over item ranks" if name == "item_skew" else None,
+        )
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=_cmd_gen)
 

@@ -39,6 +39,12 @@ Every variant runs the same scan, and the successor sets are on in every
 variant; the rrs_prunes counter counts only the extensions they let
 through that the rrs gate then drops, and view_prunes the ones the view
 bound drops after that.
+
+Each bin grows its paths on one SequenceRecordTable, which holds the
+search's counters: srt_growth counts candidates on it and the scan adds
+both gates' drops to it. The bin's counters record is that table's
+three counters; mine sums the records into its MiningStats, the only
+one a mine builds.
 """
 
 import marshal
@@ -197,34 +203,26 @@ def rule_produce(srt: SequenceRecordTable, cfg: MiningConfig, sink: RuleSink) ->
     return n - k
 
 
-def _extensions(
-    ult: UtilityTable, srt: SequenceRecordTable, cfg: MiningConfig, stats: MiningStats
-) -> list[SrtRow]:
+def _extensions(ult: UtilityTable, srt: SequenceRecordTable, cfg: MiningConfig) -> list[SrtRow]:
     """Child rows of the current path, gated on rrs and the view bound at
-    minutil, or at 0 under rscp; the view-bound drops accumulate on srt."""
+    minutil, or at 0 under rscp; both gates' drops accumulate on srt."""
     if cfg.use_rrs_prune:
-        rows, pruned = scan_extensions_gated(ult, srt, cfg.minutil)
-        stats.rrs_prunes += pruned
-        return rows
+        return scan_extensions_gated(ult, srt, cfg.minutil)[0]
     return scan_extensions(ult, srt)
 
 
 def srt_growth(
-    ult: UtilityTable,
-    srt: SequenceRecordTable,
-    row: SrtRow,
-    cfg: MiningConfig,
-    sink: RuleSink,
-    stats: MiningStats,
+    ult: UtilityTable, srt: SequenceRecordTable, row: SrtRow, cfg: MiningConfig, sink: RuleSink
 ) -> list[SrtRow]:
-    """Push one extension row, emit its rules, return its child rows.
+    """Push one extension row, count it as a candidate on srt, emit its
+    rules, return its child rows.
 
     The caller pops the row once every child has been grown.
     """
     srt.push_row(row)
-    stats.candidates += 1
+    srt.candidates += 1
     rule_produce(srt, cfg, sink)
-    return _extensions(ult, srt, cfg, stats)
+    return _extensions(ult, srt, cfg)
 
 
 # Records are length-prefixed so that _get reads each one with a single
@@ -243,16 +241,15 @@ def _get(src: IO[bytes]) -> Any:
 
 
 def _mine_bin(out: IO[bytes], ult: UtilityTable, items: list[int], cfg: MiningConfig) -> None:
-    """Grow a bin's top-level items in turn, writing one record of rule
-    fields per item to out, then the (candidates, rrs_prunes,
-    view_prunes) record.
+    """Grow a bin's top-level items in turn on one path table, writing
+    one record of rule fields per item to out, then the table's
+    (candidates, rrs_prunes, view_prunes) record.
 
     The caller runs this for bin 0 and each worker for its own bin. An
     item with an empty successor set gets its empty record at once, with
     no row built and no scan: every view of its row would be empty, and
     a path of length 1 has no cut to emit.
     """
-    stats = MiningStats()
     srt = SequenceRecordTable()
     successors = ult.successors
     for item in items:
@@ -261,16 +258,16 @@ def _mine_bin(out: IO[bytes], ult: UtilityTable, items: list[int], cfg: MiningCo
             sink = chunk.append
             srt.push_row(init_row(ult, item))
             # pending[d] yields the not yet grown children of srt.rows[d].
-            pending = [iter(_extensions(ult, srt, cfg, stats))]
+            pending = [iter(_extensions(ult, srt, cfg))]
             while pending:
                 row = next(pending[-1], None)
                 if row is None:
                     pending.pop()
                     srt.pop_row()
                 else:
-                    pending.append(iter(srt_growth(ult, srt, row, cfg, sink, stats)))
+                    pending.append(iter(srt_growth(ult, srt, row, cfg, sink)))
         _put(out, chunk)
-    _put(out, (stats.candidates, stats.rrs_prunes, srt.view_prunes))
+    _put(out, (srt.candidates, srt.rrs_prunes, srt.view_prunes))
 
 
 def _usable_cpus() -> int:

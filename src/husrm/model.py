@@ -208,7 +208,8 @@ def build_database(
 
     Empty rows are skipped, mirroring how parsers skip blank lines.
     Tokens must be non-empty and free of whitespace so the native writer
-    can round-trip them.
+    can round-trip them. Utilities must be ints (bool, float and str are
+    refused, not coerced) within 0..2**64-1, as the parsers require.
     """
     table = items if items is not None else ItemTable()
     intern = table.intern
@@ -219,7 +220,8 @@ def build_database(
         for token, utility in row:
             if not token or token.split() != [token]:
                 raise ValueError(f"bad item label: {token!r}")
-            utility = int(utility)
+            if type(utility) is not int:
+                raise ValueError(f"utility is not an int: {utility!r}")
             if utility < 0 or utility > U64_MAX:
                 raise ValueError(f"utility out of range: {utility}")
             ids.append(intern(token))

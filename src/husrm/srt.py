@@ -44,8 +44,8 @@ At minutil 0 neither gate can drop a row; scan_extensions scans there,
 and so does the rscp ablation.
 
 One table holds the path the search is growing, and the miner reuses it
-from one top-level item to the next; the utility table it reads is
-immutable.
+from one top-level item to the next, so the table also keeps the
+search's counters; the utility table it reads is immutable.
 """
 
 from bisect import bisect_left
@@ -112,18 +112,23 @@ class _ScanScratch:
 
 
 class SequenceRecordTable:
-    """Stack of rows for one depth-first path.
+    """Stack of rows for one depth-first path, and the search's counters.
 
-    view_prunes counts, over every scan of this table, the candidates
-    that passed the rrs gate but whose view bound fell below minutil.
+    Over every path grown on this table: candidates counts the rows the
+    miner pushed as extensions (top-level rows are not candidates),
+    rrs_prunes the scanned candidates whose rrs fell below minutil, and
+    view_prunes the ones that passed the rrs gate but whose view bound
+    fell below minutil.
     """
 
-    __slots__ = ("rows", "item_set", "scratch", "view_prunes")
+    __slots__ = ("rows", "item_set", "scratch", "candidates", "rrs_prunes", "view_prunes")
 
     def __init__(self) -> None:
         self.rows: list[SrtRow] = []
         self.item_set: set[int] = set()
         self.scratch: _ScanScratch | None = None
+        self.candidates = 0
+        self.rrs_prunes = 0
         self.view_prunes = 0
 
     def __len__(self) -> int:
@@ -193,8 +198,9 @@ def scan_extensions_gated(
 
     Returns ready rows in first-encounter order, and the count of
     candidates dropped because their rrs fell below minutil before their
-    rows were materialized; materialized rows whose view bound falls
-    below minutil are dropped after, and counted in srt.view_prunes.
+    rows were materialized; that count is also added to srt.rrs_prunes.
+    Materialized rows whose view bound falls below minutil are dropped
+    after, and counted in srt.view_prunes.
     Each row's item and rrs name the extension and its bound. Items
     already on the path (rules cannot repeat items) and items the
     successor sets block are not in the views, so they are never found.
@@ -336,6 +342,7 @@ def scan_extensions_gated(
             view_pruned += 1
             continue
         out.append(SrtRow(it, occ_rows, sup, until, rrs))
+    srt.rrs_prunes += pruned
     srt.view_prunes += view_pruned
     return out, pruned
 

@@ -65,6 +65,9 @@ def test_job_mines_the_same_rules(mode, sample_path, tmp_path):
         layers = result["layers"]
         assert layers["miner.rule_produce.rules"] == 4
         assert layers["srt.scan.calls"] > 0
+        # The tracer reads these off the gated scan's (rows, rrs_dropped)
+        # return value; a change of that shape would zero them.
+        assert (layers["srt.scan.pruned"], layers["srt.scan.survivors"]) == (1, 15)
 
 
 def test_job_measures_the_utility_table(sample_path, tmp_path):

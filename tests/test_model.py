@@ -52,6 +52,11 @@ def test_build_database_rejects_bad_input():
         build_database([[("a b", 1)]])
     with pytest.raises(ValueError):
         build_database([[("", 1)]])
+    # Utilities are not coerced: int() would truncate 2.7 to 2 and read "5" as 5.
+    with pytest.raises(ValueError):
+        build_database([[("a", 2.7)]])
+    with pytest.raises(ValueError):
+        build_database([[("a", "5")]])
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,7 @@
+import importlib
+
+import pytest
+
 import husrm
 
 
@@ -13,3 +17,22 @@ def test_every_export_resolves_once():
 def test_former_table_name_is_gone():
     assert not hasattr(husrm, "UtilityLinkedTable")
     assert "UtilityLinkedTable" not in husrm.__all__
+
+
+# The search's steps are not root API; each stays importable from its module.
+INTERNALS = {
+    "bounds": ("prune_unpromising", "seu_per_item"),
+    "miner": ("find_cut_start", "rule_produce", "srt_growth"),
+    "model": ("Event", "compare_at_least", "confidence_at_least"),
+    "oracle": ("max_embedding_utility", "support_of"),
+    "srt": ("SeqOccurrences", "SequenceRecordTable", "SrtRow", "init_row", "scan_extensions"),
+    "ult": ("UtilityTable", "build_ult"),
+}
+
+
+@pytest.mark.parametrize("module", sorted(INTERNALS))
+def test_search_internals_live_in_their_modules_only(module):
+    names = INTERNALS[module]
+    assert [name for name in names if hasattr(husrm, name)] == []
+    loaded = importlib.import_module(f"husrm.{module}")
+    assert [name for name in names if not hasattr(loaded, name)] == []

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import husrm
 from husrm import cli
 from husrm.miner import VARIANTS
 
@@ -51,3 +52,10 @@ def test_readme_bench_variants_are_the_miners():
     (argv,) = [argv for argv in husrm_lines() if argv[0] == "bench"]
     args = cli.build_parser().parse_args(argv)
     assert args.variants.split(",") == list(VARIANTS)
+
+
+def test_readme_lists_exactly_the_root_exports():
+    (listing,) = re.findall(
+        r"^The package root exports .*?\n\n(.*?)\n\n", README, flags=re.M | re.S
+    )
+    assert set(re.findall(r"`(\w+)`", listing)) == set(husrm.__all__)

@@ -181,13 +181,14 @@ def check_gated_against_ungated(ult, srt, minutil):
     dropped them. Returns the kept rows."""
     num, den = minutil.numerator, minutil.denominator
     every = scan_extensions(ult, srt)
-    before = srt.view_prunes
+    rrs_before, view_before = srt.rrs_prunes, srt.view_prunes
     gated, pruned = scan_extensions_gated(ult, srt, minutil)
     past_rrs = [r for r in every if r.rrs * den >= num]
     kept = [r for r in past_rrs if view_bound(ult, r) * den >= num]
     assert gated == kept
     assert pruned == len(every) - len(past_rrs)
-    assert srt.view_prunes - before == len(past_rrs) - len(kept)
+    assert srt.rrs_prunes - rrs_before == pruned
+    assert srt.view_prunes - view_before == len(past_rrs) - len(kept)
     return gated
 
 
