@@ -20,7 +20,7 @@ from dataclasses import MISSING, fields
 from .dataio import format_rule, half_up, load_database, write_native, write_rules, write_stats
 from .datagen import GenParams, generate
 from .miner import VARIANTS, MiningConfig, WorkerError, mine
-from .model import InvariantError, SequenceDatabase, Threshold
+from .model import InvariantError, Rule, SequenceDatabase, Threshold
 from .oracle import OracleConfig, oracle_mine
 
 EXIT_OK = 0
@@ -120,14 +120,13 @@ def _cmd_verify(args) -> int:
     oracle_cfg = OracleConfig(minutil, minconf, args.max_len)
     mined, _stats = mine(db, cfg)
     expected, cap_hit = oracle_mine(db, oracle_cfg)
-    mined_keys = {r.key(): r for r in mined}
-    expected_keys = {r.key(): r for r in expected}
-    only_miner = sorted(set(mined_keys) - set(expected_keys))
-    only_oracle = sorted(set(expected_keys) - set(mined_keys))
-    for key in only_miner:
-        print(f"only miner: {format_rule(mined_keys[key], db.items)}")
-    for key in only_oracle:
-        print(f"only oracle: {format_rule(expected_keys[key], db.items)}")
+    mined_set, expected_set = set(mined), set(expected)
+    only_miner = sorted(mined_set - expected_set, key=Rule.key)
+    only_oracle = sorted(expected_set - mined_set, key=Rule.key)
+    for rule in only_miner:
+        print(f"only miner: {format_rule(rule, db.items)}")
+    for rule in only_oracle:
+        print(f"only oracle: {format_rule(rule, db.items)}")
     if cap_hit:
         print(
             "warning: reference enumeration hit the length cap; verification inconclusive",
@@ -204,9 +203,9 @@ def _cmd_bench(args) -> int:
             runtimes.append((time.perf_counter() - begin) * 1000.0)
         results[name] = (rules, stats, statistics.median(runtimes))
 
-    baseline = {rule.key() for rule in results[names[0]][0]}
+    baseline = set(results[names[0]][0])
     for name in names[1:]:
-        if {rule.key() for rule in results[name][0]} != baseline:
+        if set(results[name][0]) != baseline:
             print(
                 f"MISMATCH: variant {name} produced a different rule set than {names[0]}",
                 file=sys.stderr,

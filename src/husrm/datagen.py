@@ -40,9 +40,11 @@ class GenParams:
             raise ValueError("alphabet_size must be at least 1")
         if not 1 <= self.avg_length <= self.max_length:
             raise ValueError("need 1 <= avg_length <= max_length")
+        if 1.0 - 1.0 / self.avg_length == 1.0:
+            raise ValueError("avg_length is too large: 1 - 1/avg_length rounds to 1")
         if not 0 <= self.utility_min <= self.utility_max:
             raise ValueError("need 0 <= utility_min <= utility_max")
-        if self.item_skew < 0:
+        if not self.item_skew >= 0:  # false for NaN too
             raise ValueError("item_skew must be non-negative")
 
 

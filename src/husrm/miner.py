@@ -13,13 +13,15 @@ recomputation ever happens.
 
 Each top-level item is grown by one iterative loop that keeps a stack
 of child-row iterators beside the path table, so path depth is bounded
-by memory, not by the interpreter's recursion limit. Top-level items are
-independent once the table is built, so mine splits them into one bin
-per usable CPU before any search starts: items by descending count of
-sequences, ties in first-appearance order, each to the least-loaded bin.
-Every bin, the caller's included, writes its rules item by item as plain
-marshal fields to its own unnamed temporary file, and its counters last.
-The calling process grows bin 0 and a forked child grows each other bin,
+by memory, not by the interpreter's recursion limit. Only an item with
+successors has a search (any other emits no rule and adds no count),
+and the searched items are independent once the table is built, so
+mine maps each to one of min(usable CPUs, searched items) bins before
+any search starts: by descending count of sequences, ties in
+first-appearance order, each to the least-loaded bin. Every bin, the
+caller's included, writes its rules item by item as plain marshal
+fields to its own unnamed temporary file, and its counters last. The
+calling process grows bin 0 and a forked child grows each other bin,
 reading the table the fork shared copy-on-write. The caller then reads
 every file back, builds each Rule once in first-appearance item order,
 and sums the counters, so the rules and stats equal a one-bin run's.
@@ -245,27 +247,23 @@ def _mine_bin(out: IO[bytes], ult: UtilityTable, items: list[int], cfg: MiningCo
     one record of rule fields per item to out, then the table's
     (candidates, rrs_prunes, view_prunes) record.
 
-    The caller runs this for bin 0 and each worker for its own bin. An
-    item with an empty successor set gets its empty record at once, with
-    no row built and no scan: every view of its row would be empty, and
-    a path of length 1 has no cut to emit.
+    The caller runs this for bin 0 and each worker for its own bin, on
+    items that have successors (see _split).
     """
     srt = SequenceRecordTable()
-    successors = ult.successors
     for item in items:
         chunk: list[RuleFields] = []
-        if successors[item]:
-            sink = chunk.append
-            srt.push_row(init_row(ult, item))
-            # pending[d] yields the not yet grown children of srt.rows[d].
-            pending = [iter(_extensions(ult, srt, cfg))]
-            while pending:
-                row = next(pending[-1], None)
-                if row is None:
-                    pending.pop()
-                    srt.pop_row()
-                else:
-                    pending.append(iter(srt_growth(ult, srt, row, cfg, sink)))
+        sink = chunk.append
+        srt.push_row(init_row(ult, item))
+        # pending[d] yields the not yet grown children of srt.rows[d].
+        pending = [iter(_extensions(ult, srt, cfg))]
+        while pending:
+            row = next(pending[-1], None)
+            if row is None:
+                pending.pop()
+                srt.pop_row()
+            else:
+                pending.append(iter(srt_growth(ult, srt, row, cfg, sink)))
         _put(out, chunk)
     _put(out, (srt.candidates, srt.rrs_prunes, srt.view_prunes))
 
@@ -277,30 +275,27 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _split(ult: UtilityTable) -> list[list[int]]:
-    """The top-level items in bins, one per worker; bin 0 is the caller's.
+def _split(ult: UtilityTable) -> dict[int, int]:
+    """The bin of each searched item (one with successors), in
+    first-appearance order; bin 0 is the caller's.
 
     Items go longest-first, by the number of sequences holding them with
     ties in first-appearance order, each to the least-loaded bin (the
     lowest-numbered on a tie). The split depends on the table and the
     CPU count alone, so every run on one machine mines the same items in
-    the same process. Each bin keeps first-appearance order.
+    the same process.
     """
-    items = list(ult.item_positions)
-    n = min(_usable_cpus(), len(items))
+    positions = ult.item_positions
+    bin_of = {item: 0 for item in positions if ult.successors[item]}
+    n = min(_usable_cpus(), len(bin_of))
     if n < 2 or threading.active_count() > 1 or len(ult) < PARALLEL_MIN_EVENTS:
-        return [items]
-    weight = {item: len(ult.item_positions[item]) for item in items}
-    bins: list[list[int]] = [[] for _ in range(n)]
+        return bin_of
     loads = [0] * n
-    for item in sorted(items, key=weight.__getitem__, reverse=True):
+    for item in sorted(bin_of, key=lambda item: len(positions[item]), reverse=True):
         b = loads.index(min(loads))
-        bins[b].append(item)
-        loads[b] += weight[item]
-    rank = {item: k for k, item in enumerate(items)}
-    for items_of_bin in bins:
-        items_of_bin.sort(key=rank.__getitem__)
-    return bins
+        bin_of[item] = b
+        loads[b] += len(positions[item])
+    return bin_of
 
 
 def _exit_when_orphaned(parent: int) -> NoReturn:
@@ -368,17 +363,20 @@ def _kill_and_reap(pids: list[int]) -> None:
 
 
 def _mine_bins(
-    ult: UtilityTable, bins: list[list[int]], cfg: MiningConfig, stats: MiningStats
+    ult: UtilityTable, bin_of: dict[int, int], cfg: MiningConfig, stats: MiningStats
 ) -> list[Rule]:
     """Mine bin 0 here and every other bin in a forked worker, each into
     its own temporary file; the rules in first-appearance item order,
     with every bin's counters summed on stats.
 
-    Every file is opened before the first fork, so a missing temporary
-    directory fails before any worker exists. Every worker is reaped
-    before this returns or raises: one that has not finished by then is
-    killed first.
+    bin_of is _split's map; bin 0 runs even without items. Every file is
+    opened before the first fork, so a missing temporary directory fails
+    before any worker exists. Every worker is reaped before this returns
+    or raises: one that has not finished by then is killed first.
     """
+    bins: list[list[int]] = [[] for _ in range(max(bin_of.values(), default=0) + 1)]
+    for item, b in bin_of.items():
+        bins[b].append(item)
     outs: list[IO[bytes]] = []
     running: list[int] = []
     parent = os.getpid()
@@ -398,10 +396,9 @@ def _mine_bins(
                 raise _worker_failure(out, status)
         for out in outs:
             out.seek(0)
-        bin_of = {item: b for b, items in enumerate(bins) for item in items}
         rules: list[Rule] = []
-        for item in ult.item_positions:
-            rules.extend(starmap(Rule, _get(outs[bin_of[item]])))
+        for b in bin_of.values():
+            rules.extend(starmap(Rule, _get(outs[b])))
         for out in outs:
             candidates, rrs_prunes, view_prunes = _get(out)
             stats.candidates += candidates

@@ -319,7 +319,7 @@ class Rule:
         return Fraction(self.support, self.antecedent_support)
 
     def key(self) -> tuple:
-        """Canonical identity for set comparisons and diffs."""
+        """The five fields as one tuple; verify lists its differences in this order."""
         return (
             self.antecedent,
             self.consequent,

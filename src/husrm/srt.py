@@ -156,9 +156,9 @@ def init_row(ult: UtilityTable, item: int) -> SrtRow:
 
     Each occurrence's best prefix utility is its own utility and its view
     keeps the positions after the first occurrence whose item is a
-    successor of this one. The row bound sums, over the item's sequences,
-    its largest stored rru there. An item the table does not hold raises
-    KeyError.
+    successor of this one (none, for an item the miner never grows). The
+    row bound sums, over the item's sequences, its largest stored rru
+    there. An item the table does not hold raises KeyError.
     """
     seq_items = ult.seq_items
     seq_utils = ult.seq_utils
@@ -183,10 +183,8 @@ def init_row(ult: UtilityTable, item: int) -> SrtRow:
                 bound = r
         until += best
         rrs += bound
-        view = ()
-        if succ:
-            items_s = seq_items[sid]
-            view = tuple([k for k in range(positions[0] + 1, len(items_s)) if items_s[k] in succ])
+        items_s = seq_items[sid]
+        view = tuple([k for k in range(positions[0] + 1, len(items_s)) if items_s[k] in succ])
         occurrences.append(SeqOccurrences(sid, entries, view))
     return SrtRow(item, occurrences, len(occurrences), until, rrs)
 

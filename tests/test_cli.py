@@ -129,6 +129,16 @@ def test_config_echo_of_every_command(sample_path, tmp_path, capsys):
             "alphabet_size must be at least 1",
         ),
         (["bench", "--variants", "rsc,rscr,rsc"], "repeated variant 'rsc'"),
+        (
+            ["gen", "--sequences", "1", "--alphabet", "4", "--avg-len", "2", "--max-len", "5",
+             "--skew", "nan"],
+            "item_skew must be non-negative",
+        ),
+        (
+            ["gen", "--sequences", "1", "--alphabet", "4", "--avg-len", "1e17",
+             "--max-len", "100000000000000000000"],
+            "avg_length is too large",
+        ),
     ],
 )
 def test_every_command_echoes_its_config_before_rejecting_it(sample_path, capsys, argv, message):

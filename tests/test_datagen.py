@@ -82,3 +82,8 @@ def test_parameter_validation():
         GenParams(1, 5, 3.0, 10, utility_min=5, utility_max=4)
     with pytest.raises(ValueError):
         GenParams(1, 5, 3.0, 10, item_skew=-0.5)
+    with pytest.raises(ValueError, match="item_skew"):
+        GenParams(1, 5, 3.0, 10, item_skew=float("nan"))
+    with pytest.raises(ValueError, match="avg_length"):
+        GenParams(1, 4, 1e17, 10**20)
+

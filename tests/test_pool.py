@@ -31,8 +31,8 @@ from conftest import make_random_db, thr
 SHAPES = {
     "search-sparse": (GenParams(450, 7312, 27.0, 213, 1, 10, 1.0, seed=1), "0.01", "0.6"),
     "rule-flood": (GenParams(400, 12, 12.0, 40, 1, 10, 1.0, seed=1), "0.03", "0.1"),
-    # 39 of its 63 items have no successors, so empty item records land
-    # in every bin position.
+    # 39 of its 63 items have no successors; no bin mines them, so the
+    # merge must skip them between the searched items.
     "ingest-wide": (GenParams(3000, 1000, 6.0, 40, 1, 10, 1.0, seed=1), "0.02", "0.1"),
 }
 FAILING_DB = GenParams(300, 40, 6.0, 20, seed=3)
@@ -90,46 +90,77 @@ def test_benchmark_shapes_are_the_same_in_every_bin_count(shape, force_bins):
     assert rules and stats.candidates and stats.rrs_prunes and stats.view_prunes
 
 
-def test_split_is_longest_first_and_keeps_first_appearance_order(force_bins):
+def split_table():
+    """FAILING_DB's table at delta 0.03, where 31 of its 40 items have successors."""
     db = generate(FAILING_DB)
-    ult = miner.build_ult(db)
-    weight = {item: len(ult.item_positions[item]) for item in ult.item_positions}
-    order = list(ult.item_positions)
+    minutil = thr("0.03").times(db.total_utility)
+    ult = miner.build_ult(db, minutil=minutil)
+    searched = [item for item in ult.item_positions if ult.successors[item]]
+    assert 3 <= len(searched) < len(ult.item_positions)
+    return ult, searched
+
+
+def test_split_is_longest_first_and_keeps_first_appearance_order(force_bins):
+    ult, searched = split_table()
+    weight = {item: len(ult.item_positions[item]) for item in searched}
     force_bins(3)
-    bins = miner._split(ult)
-    assert len(bins) == 3
-    assert sorted(item for b in bins for item in b) == sorted(order)
-    for b in bins:
-        assert b == sorted(b, key=order.index)
-    heaviest = max(order, key=weight.__getitem__)  # max keeps the first on a tie
-    assert heaviest in bins[0]
-    loads = [sum(weight[item] for item in b) for b in bins]
+    bin_of = miner._split(ult)
+    # Exactly the items with successors, in first-appearance order, which
+    # each bin's item list inherits.
+    assert list(bin_of) == searched
+    assert sorted(set(bin_of.values())) == [0, 1, 2]
+    heaviest = max(searched, key=weight.__getitem__)  # max keeps the first on a tie
+    assert bin_of[heaviest] == 0
+    loads = [sum(weight[item] for item, b in bin_of.items() if b == k) for k in range(3)]
     assert max(loads) - min(loads) <= max(weight.values())
-    assert miner._split(ult) == bins
+    assert list(miner._split(ult).items()) == list(bin_of.items())
 
 
 def test_split_keeps_one_bin_below_the_cut_off_or_on_one_cpu(force_bins, monkeypatch):
-    db = generate(FAILING_DB)
-    ult = miner.build_ult(db)
-    whole = [list(ult.item_positions)]
+    ult, searched = split_table()
+    whole = [(item, 0) for item in searched]
     force_bins(1)
-    assert miner._split(ult) == whole
+    assert list(miner._split(ult).items()) == whole
     force_bins(2)
-    assert len(miner._split(ult)) == 2
+    assert set(miner._split(ult).values()) == {0, 1}
     monkeypatch.setattr(miner, "PARALLEL_MIN_EVENTS", len(ult) + 1)
-    assert miner._split(ult) == whole
+    assert list(miner._split(ult).items()) == whole
     monkeypatch.setattr(miner, "PARALLEL_MIN_EVENTS", 0)
     monkeypatch.setattr(miner.threading, "active_count", lambda: 2)
-    assert miner._split(ult) == whole
+    assert list(miner._split(ult).items()) == whole
+
+
+def test_one_searched_item_mines_without_a_fork(monkeypatch):
+    # 7,537 events, above the cut-off, but only 1 of the 13 items has
+    # successors: a second bin would have no search to do.
+    db = generate(GenParams(3000, 1000, 6.0, 40, 1, 10, 1.0, seed=1))
+    cfg = MiningConfig(thr("0.1").times(db.total_utility), thr("0.1"))
+    ult = miner.build_ult(miner.prune_unpromising(db, cfg.minutil), minutil=cfg.minutil)
+    assert len(ult) >= miner.PARALLEL_MIN_EVENTS
+    assert sum(1 for item in ult.item_positions if ult.successors[item]) == 1
+    monkeypatch.setattr(miner, "_usable_cpus", lambda: 1)
+    expected = mine(db, cfg)
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(miner, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(miner.os, "fork", counting_fork)
+    rules, stats = mine(db, cfg)
+    assert forks == []
+    stats.runtime_ms = expected[1].runtime_ms
+    assert (rules, stats) == expected
 
 
 def fail_in_bin(monkeypatch, db, cfg, force_bins, b, action):
-    """Make init_row run action() on the first item of bin b (0: the caller's)
-    that gets a row: an item with no successors gets none."""
+    """Make init_row run action() on the first item of bin b (0: the caller's)."""
     force_bins(2)
     work = miner.prune_unpromising(db, cfg.minutil)
     ult = miner.build_ult(work, minutil=cfg.minutil)
-    bad = next(item for item in miner._split(ult)[b] if ult.successors[item])
+    bad = next(item for item, bin_ in miner._split(ult).items() if bin_ == b)
     init_row = miner.init_row
 
     def failing_init_row(ult, item):
