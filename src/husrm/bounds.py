@@ -26,28 +26,22 @@ from itertools import accumulate, compress
 from .model import Sequence, SequenceDatabase, Threshold, compare_at_least
 
 
-def seu_per_item(db: SequenceDatabase, *, distinct_max: bool = True) -> dict[int, int]:
+def seu_per_item(db: SequenceDatabase) -> dict[int, int]:
     """Sequence-estimated utility of every item present in the database.
 
-    With distinct_max (default) the per-sequence term sums each distinct
-    item once at its maximum occurrence utility, the tighter form that is
-    still an upper bound because rules cannot repeat items. With
-    distinct_max=False the term is the plain sum of all event utilities.
-    Both forms agree on duplicate-free sequences.
+    The per-sequence term sums each distinct item once, at its maximum
+    occurrence utility. It is an upper bound because a rule cannot repeat
+    an item, and it is never above HUSRM's plain sum of all event
+    utilities, with which it agrees on duplicate-free sequences.
     """
     totals: dict[int, int] = {}
     for seq in db.sequences:
-        if distinct_max:
-            maxima: dict[int, int] = {}
-            for item, utility in zip(seq.items, seq.utils):
-                if utility > maxima.get(item, -1):
-                    maxima[item] = utility
-            term = sum(maxima.values())
-            present = maxima.keys()
-        else:
-            term = sum(seq.utils)
-            present = set(seq.items)
-        for item in present:
+        maxima: dict[int, int] = {}
+        for item, utility in zip(seq.items, seq.utils):
+            if utility > maxima.get(item, -1):
+                maxima[item] = utility
+        term = sum(maxima.values())
+        for item in maxima:
             totals[item] = totals.get(item, 0) + term
     return totals
 
@@ -61,8 +55,14 @@ def prune_unpromising(
     sequence that loses no item is kept as the same object. minutil is
     not recomputed afterwards and no fixpoint iteration happens: the
     mining pipeline calls for exactly one pass.
+
+    Only distinct_max=True is accepted: seu_per_item has one form. The
+    keyword is kept because the benchmark's job script still passes it;
+    its next change drops it.
     """
-    seu = seu_per_item(db, distinct_max=distinct_max)
+    if not distinct_max:
+        raise ValueError("distinct_max must be True: the seu prune has one form")
+    seu = seu_per_item(db)
     keep = {item for item, value in seu.items() if compare_at_least(value, minutil)}
     out: list[Sequence] = []
     for seq in db.sequences:

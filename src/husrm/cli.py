@@ -14,13 +14,15 @@ import statistics
 import sys
 import time
 from argparse import ArgumentParser
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, fields
 
-from .dataio import format_rule, half_up, load_database, write_native, write_rules, write_stats
+from .dataio import (
+    dedup_max_utility, format_rule, half_up, load_database, write_native, write_rules, write_stats
+)
 from .datagen import GenParams, generate
 from .miner import VARIANTS, MiningConfig, WorkerError, mine
-from .model import InvariantError, Rule, SequenceDatabase, Threshold
+from .model import InvariantError, SequenceDatabase, Threshold
 from .oracle import OracleConfig, oracle_mine
 
 EXIT_OK = 0
@@ -67,7 +69,10 @@ def _add_threshold_args(parser: ArgumentParser) -> None:
 def _load_and_echo(args, **own) -> tuple[SequenceDatabase, Threshold, Threshold]:
     """Load the input, resolve both thresholds and echo them with the command's own keys.
 
-    Callers build and check their configs after this echo, before any mining.
+    The thresholds are resolved against the database as loaded; with
+    dedup=True among the own keys, the database returned is then
+    dedup_max_utility's. Callers build and check their configs after
+    this echo, then open their output files, before any mining.
     """
     db = load_database(args.input, args.format)
     if args.delta is not None:
@@ -85,6 +90,8 @@ def _load_and_echo(args, **own) -> tuple[SequenceDatabase, Threshold, Threshold]
             **own,
         }
     )
+    if own.get("dedup"):
+        db = dedup_max_utility(db)
     return db, minutil, minconf
 
 
@@ -92,22 +99,21 @@ def _cmd_mine(args) -> int:
     db, minutil, minconf = _load_and_echo(
         args, dedup=args.dedup, sort=args.sort, out=args.out or "-", stats=args.stats or "-"
     )
-    rules, stats = mine(db, MiningConfig(minutil, minconf, dedup=args.dedup))
-    with _out_stream(args.out) as stream:
-        write_rules(rules, db.items, stream, sort=args.sort)
-    if args.stats is None:
-        write_stats(stats, sys.stderr)
-    else:
-        with _out_stream(args.stats) as stream:
-            write_stats(stats, stream)
+    cfg = MiningConfig(minutil, minconf)
+    stats_stream = nullcontext(sys.stderr) if args.stats is None else _out_stream(args.stats)
+    with _out_stream(args.out) as out, stats_stream as stats_out:
+        rules, stats = mine(db, cfg)
+        write_rules(rules, db.items, out, sort=args.sort)
+        write_stats(stats, stats_out)
     return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
     db, minutil, minconf = _load_and_echo(args, max_len=args.max_len, out=args.out or "-")
-    rules, cap_hit = oracle_mine(db, OracleConfig(minutil, minconf, args.max_len))
-    with _out_stream(args.out) as stream:
-        write_rules(rules, db.items, stream)
+    cfg = OracleConfig(minutil, minconf, args.max_len)
+    with _out_stream(args.out) as out:
+        rules, cap_hit = oracle_mine(db, cfg)
+        write_rules(rules, db.items, out)
     if cap_hit:
         print("warning: length cap reached; rule set may be truncated", file=sys.stderr)
         return EXIT_CAP
@@ -121,8 +127,8 @@ def _cmd_verify(args) -> int:
     mined, _stats = mine(db, cfg)
     expected, cap_hit = oracle_mine(db, oracle_cfg)
     mined_set, expected_set = set(mined), set(expected)
-    only_miner = sorted(mined_set - expected_set, key=Rule.key)
-    only_oracle = sorted(expected_set - mined_set, key=Rule.key)
+    only_miner = sorted(mined_set - expected_set)
+    only_oracle = sorted(expected_set - mined_set)
     for rule in only_miner:
         print(f"only miner: {format_rule(rule, db.items)}")
     for rule in only_oracle:
@@ -192,7 +198,7 @@ def _cmd_bench(args) -> int:
         raise ValueError(f"repeated variant {', '.join(map(repr, repeated))}")
     if args.repeat < 1:
         raise ValueError("repeat must be positive")
-    configs = [MiningConfig(minutil, minconf, variant=name, dedup=args.dedup) for name in names]
+    configs = [MiningConfig(minutil, minconf, variant=name) for name in names]
     results = {}
     for name, cfg in zip(names, configs):
         runtimes = []

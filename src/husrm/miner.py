@@ -1,15 +1,14 @@
 """End-to-end mining: depth-first path growth with bound-based pruning
 and confidence-guided cut emission.
 
-The pipeline is: optional duplicate removal, optional early item
-pruning, one utility-table build (with the EUCP successor sets at
-minutil, so every scan walks only the projected views of the path),
-then a depth-first walk over item prefixes. Every path push emits all
-the rules that path can support in one pass: the path's support column
-is non-increasing, so a binary search finds the leftmost cut whose
-antecedent support clears the confidence bar, and every cut from there
-to the end shares the path utility computed once. No per-rule utility
-recomputation ever happens.
+The pipeline is: optional early item pruning, one utility-table build
+(with the EUCP successor sets at minutil, so every scan walks only the
+projected views of the path), then a depth-first walk over item
+prefixes. Every path push emits all the rules that path can support in
+one pass: the path's support column is non-increasing, so a binary
+search finds the leftmost cut whose antecedent support clears the
+confidence bar, and every cut from there to the end shares the path
+utility computed once. No per-rule utility recomputation ever happens.
 
 Each top-level item is grown by one iterative loop that keeps a stack
 of child-row iterators beside the path table, so path depth is bounded
@@ -56,10 +55,11 @@ import threading
 import time
 from dataclasses import dataclass
 from itertools import starmap
-from typing import IO, Any, Callable, NoReturn, Sequence as Seq
+from typing import IO, Any, Callable, ClassVar, NoReturn, Sequence as Seq
 
 from .bounds import prune_unpromising
-from .dataio import dedup_max_utility
+# Not called here; kept because the benchmark's tracer still rebinds it.
+from .dataio import dedup_max_utility  # noqa: F401
 from .model import (
     Rule,
     SequenceDatabase,
@@ -105,18 +105,19 @@ class MiningConfig:
 
     minutil must already be the absolute threshold; when the caller
     starts from a ratio delta it multiplies by the total utility of the
-    original database (before any dedup or pruning) first.
+    database as loaded (before any dedup or pruning) first.
     """
 
     minutil: Threshold
     minconf: Threshold
     variant: str = "rsc"
-    dedup: bool = False
-    seu_distinct_max: bool = True
     # Only 1 is accepted: mine sizes its worker pool from the usable CPUs.
     # Kept because the benchmark's job script still passes threads=1; its
     # next change drops the field.
     threads: int = 1
+    # Read-only, as the seu prune has one form. Kept because the
+    # benchmark's job script still reads it; its next change drops it.
+    seu_distinct_max: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -415,6 +416,9 @@ def _mine_bins(
 def mine(db: SequenceDatabase, cfg: MiningConfig) -> tuple[list[Rule], MiningStats]:
     """Mine every totally ordered rule meeting both thresholds.
 
+    db is mined as given: to mine it deduplicated, pass
+    dedup_max_utility(db).
+
     Output order is deterministic: depth-first over the utility table's
     items in first-appearance order, children in scan order, cuts left
     to right. It does not depend on how the items were split over
@@ -426,9 +430,7 @@ def mine(db: SequenceDatabase, cfg: MiningConfig) -> tuple[list[Rule], MiningSta
     stats = MiningStats(minutil=cfg.minutil)
     stats.sequences = len(db.sequences)
     stats.distinct_items = len(db.distinct_items())
-    work = dedup_max_utility(db) if cfg.dedup else db
-    if cfg.use_seu_prune:
-        work = prune_unpromising(work, cfg.minutil, distinct_max=cfg.seu_distinct_max)
+    work = prune_unpromising(db, cfg.minutil) if cfg.use_seu_prune else db
     ult = build_ult(work, use_rru=cfg.use_rru, minutil=cfg.minutil)
     stats.items_after_pruning = len(ult.item_positions)
     rules = _mine_bins(ult, _split(ult), cfg, stats)

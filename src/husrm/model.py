@@ -201,17 +201,16 @@ class SequenceDatabase:
         )
 
 
-def build_database(
-    rows: Iterable[Iterable[tuple[str, int]]], items: ItemTable | None = None
-) -> SequenceDatabase:
-    """Build a database from rows of (token, utility) pairs.
+def build_database(rows: Iterable[Iterable[tuple[str, int]]]) -> SequenceDatabase:
+    """Build a database from rows of (token, utility) pairs, with a fresh
+    item table that interns tokens in first-appearance order.
 
     Empty rows are skipped, mirroring how parsers skip blank lines.
     Tokens must be non-empty and free of whitespace so the native writer
     can round-trip them. Utilities must be ints (bool, float and str are
     refused, not coerced) within 0..2**64-1, as the parsers require.
     """
-    table = items if items is not None else ItemTable()
+    table = ItemTable()
     intern = table.intern
     seqs: list[Sequence] = []
     for row in rows:
@@ -287,14 +286,16 @@ def check_minconf(minconf: Threshold) -> None:
         raise ValueError("minconf must lie in (0, 1]")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, order=True)
 class Rule:
     """A totally ordered sequential rule.
 
     Antecedent and consequent items each keep strict database order; no
     item repeats across the two sides. The utility is the rule sequence's
     utility over the whole database and the confidence is
-    support / antecedent_support, exact.
+    support / antecedent_support, exact. Rules compare as the tuple of
+    their fields in declaration order; verify lists its differences in
+    that order.
     """
 
     antecedent: tuple[int, ...]
@@ -317,13 +318,3 @@ class Rule:
     @property
     def confidence(self) -> Fraction:
         return Fraction(self.support, self.antecedent_support)
-
-    def key(self) -> tuple:
-        """The five fields as one tuple; verify lists its differences in this order."""
-        return (
-            self.antecedent,
-            self.consequent,
-            self.utility,
-            self.support,
-            self.antecedent_support,
-        )

@@ -140,5 +140,5 @@ def oracle_mine(db: SequenceDatabase, cfg: OracleConfig) -> tuple[list[Rule], bo
                 proj.append((si, seq.items.index(item) + 1))
         visit((item,), frozenset((item,)), proj, (len(proj),))
 
-    rules.sort(key=lambda r: (r.antecedent, r.consequent))
+    rules.sort()
     return rules, truncated

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from husrm.model import SequenceDatabase, Threshold, build_database
+from husrm.model import Rule, SequenceDatabase, Threshold, build_database
 
 # Hand-authored demo database used across the suite. Expected values for
 # it (rule sets, bounds, projection rows) were derived by hand and by the
@@ -83,8 +83,8 @@ def view_bound(ult, row) -> int:
     )
 
 
-def canon(rules) -> set[tuple]:
-    return {rule.key() for rule in rules}
+def canon(rules) -> set[Rule]:
+    return set(rules)
 
 
 def thr(text: str) -> Threshold:

@@ -11,7 +11,7 @@ import husrm.miner as miner
 from husrm import cli
 from husrm.datagen import GenParams, generate
 from husrm.miner import MiningConfig, mine
-from husrm.model import build_database
+from husrm.model import Rule, build_database
 from husrm.oracle import OracleConfig, max_embedding_utility, oracle_mine
 from husrm.srt import SequenceRecordTable, init_row, scan_extensions
 from husrm.ult import build_ult
@@ -50,10 +50,10 @@ def test_criterion_1_worked_example_reproduction():
     items = db.items
     a, c, b, e = (items.id_of(t) for t in "acbe")
     expected = {
-        ((a,), (c,), 13, 3, 4),
-        ((b,), (c,), 16, 2, 3),
-        ((c, e), (b,), 16, 1, 1),
-        ((e,), (b,), 14, 1, 1),
+        Rule((a,), (c,), 13, 3, 4),
+        Rule((b,), (c,), 16, 2, 3),
+        Rule((c, e), (b,), 16, 1, 1),
+        Rule((e,), (b,), 14, 1, 1),
     }
     assert canon(rules) == expected
     assert sorted(r.utility for r in rules) == [13, 14, 16, 16]

@@ -1,10 +1,12 @@
 import pytest
 
 from husrm import cli
+from husrm.dataio import dedup_max_utility, format_rule, load_database
 from husrm.miner import VARIANTS, mine as real_mine
 from husrm.model import InvariantError
+from husrm.oracle import OracleConfig, oracle_mine
 
-from conftest import SAMPLE_NATIVE, deep_path_rows
+from conftest import SAMPLE_NATIVE, deep_path_rows, thr
 
 
 @pytest.fixture
@@ -208,6 +210,37 @@ def test_mine_writes_rules_and_stats_files(sample_path, tmp_path, capsys):
     assert capsys.readouterr().out == ""
     assert len(out.read_text().splitlines()) == 4
     assert "rules=4" in stats.read_text()
+
+
+def test_mine_dedup_gives_the_oracle_rules_on_the_deduped_database(sample_path, capsys):
+    assert cli.main(["mine", sample_path, "--delta", "0.1", "--dedup"]) == 0
+    got = capsys.readouterr().out.splitlines()
+    db = load_database(sample_path)
+    cfg = OracleConfig(thr("0.1").times(db.total_utility), thr("0.6"), 8)
+    expected, truncated = oracle_mine(dedup_max_utility(db), cfg)
+    assert not truncated
+    assert sorted(got) == sorted(format_rule(rule, db.items) for rule in expected)
+    plain, _ = oracle_mine(db, cfg)
+    assert set(plain) != set(expected)  # the dedup matters on this input
+
+
+@pytest.mark.parametrize(
+    "command, target, flag",
+    [("mine", "mine", "--out"), ("mine", "mine", "--stats"), ("oracle", "oracle_mine", "--out")],
+)
+def test_unopenable_output_exits_2_before_mining(
+    sample_path, tmp_path, capsys, monkeypatch, command, target, flag
+):
+    def must_not_run(*args):
+        pytest.fail(f"{target} ran before {flag} was opened")
+
+    monkeypatch.setattr(cli, target, must_not_run)
+    path = str(tmp_path / "missing" / "out.txt")
+    assert cli.main([command, sample_path, "--delta", "0.1", flag, path]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    lines = [line for line in out.err.splitlines() if not line.startswith("[config] ")]
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "missing" in lines[0]
 
 
 def test_mine_is_deterministic_across_runs(sample_path, tmp_path):

@@ -50,14 +50,11 @@ def check_against_oracle(db, delta: str, minconf: str) -> None:
     minutil = thr(delta).times(db.total_utility)
     conf = thr(minconf)
     alphabet = len(db.distinct_items())
-    expected = {
-        False: oracle_rules(db, minutil, conf, alphabet),
-        True: oracle_rules(dedup_max_utility(db), minutil, conf, alphabet),
-    }
-    for name in VARIANTS:
-        for dedup in (False, True):
-            rules, _ = mine(db, MiningConfig(minutil, conf, variant=name, dedup=dedup))
-            assert canon(rules) == expected[dedup], (name, dedup)
+    for dedup, work in ((False, db), (True, dedup_max_utility(db))):
+        expected = oracle_rules(work, minutil, conf, alphabet)
+        for name in VARIANTS:
+            rules, _ = mine(work, MiningConfig(minutil, conf, variant=name))
+            assert canon(rules) == expected, (name, dedup)
 
 
 @pytest.mark.parametrize("seed", range(60))

@@ -13,7 +13,9 @@ import pytest
 
 import husrm.miner as miner
 from husrm.datagen import GenParams, generate
-from husrm.dataio import ParseError, load_database, parse_native, parse_spmf, write_native
+from husrm.dataio import (
+    ParseError, dedup_max_utility, load_database, parse_native, parse_spmf, write_native
+)
 from husrm.miner import VARIANTS, MiningConfig, mine
 from husrm.model import InvariantError, build_database, gc_paused
 from husrm.srt import SequenceRecordTable
@@ -162,7 +164,9 @@ def test_load_and_mine_leave_no_cyclic_garbage(tmp_path, case, variant, dedup):
         db = load_database(path)
         assert gc.collect() == 0
         minutil = thr(delta).times(db.total_utility)
-        rules, stats = mine(db, MiningConfig(minutil, thr(minconf), variant=variant, dedup=dedup))
+        if dedup:
+            db = dedup_max_utility(db)
+        rules, stats = mine(db, MiningConfig(minutil, thr(minconf), variant=variant))
         assert rules
         assert gc.collect() == 0
         del db, rules, stats

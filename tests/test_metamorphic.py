@@ -23,7 +23,7 @@ finish in tier-1 time.
 """
 
 import random
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -59,7 +59,13 @@ def rows_of(db) -> list[list[tuple[str, int]]]:
 def labeled(rules, db) -> list[tuple]:
     token_of = db.items.token_of
     return [
-        (tuple(map(token_of, r.antecedent)), tuple(map(token_of, r.consequent)), *r.key()[2:])
+        (
+            tuple(map(token_of, r.antecedent)),
+            tuple(map(token_of, r.consequent)),
+            r.utility,
+            r.support,
+            r.antecedent_support,
+        )
         for r in rules
     ]
 
@@ -79,9 +85,7 @@ def test_scaling_utilities_and_minutil_scales_rule_utilities(base, variant):
     rules, stats = mine(db, MiningConfig(minutil, MINCONF, variant=variant))
     scaled_rules, scaled_stats = mine(scaled_db, MiningConfig(scaled_minutil, MINCONF, variant=variant))
     assert rules
-    assert [r.key() for r in scaled_rules] == [
-        (r.antecedent, r.consequent, c * r.utility, r.support, r.antecedent_support) for r in rules
-    ]
+    assert scaled_rules == [replace(r, utility=c * r.utility) for r in rules]
     assert counters(scaled_stats) == {**counters(stats), "minutil": asdict(scaled_minutil)}
 
 
@@ -118,17 +122,17 @@ def test_appending_a_low_utility_sequence_of_fresh_items_changes_no_rule(base, v
     rules, _ = mine(db, MiningConfig(minutil, MINCONF, variant=variant))
     grown_rules, _ = mine(grown_db, MiningConfig(minutil, MINCONF, variant=variant))
     assert rules
-    assert [r.key() for r in grown_rules] == [r.key() for r in rules]
+    assert grown_rules == rules
 
 
 def test_every_variant_mines_the_same_rules(base):
     db, minutil = base
     results = {name: mine(db, MiningConfig(minutil, MINCONF, variant=name)) for name in sorted(VARIANTS)}
-    keys = {name: [r.key() for r in rules] for name, (rules, _) in results.items()}
-    assert keys["rsc"]
-    for name, got in keys.items():
+    expected = set(results["rsc"][0])
+    assert expected
+    for name, (got, _) in results.items():
         assert len(got) == len(set(got)), name
-        assert set(got) == set(keys["rsc"]), name
+        assert set(got) == expected, name
     # The ablations really change the search on this input. rscn and rscr
     # can grow as many candidates, so their gate counters tell them apart.
     searches = {

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,7 +12,7 @@ from husrm.miner import (
     mine,
     rule_produce,
 )
-from husrm.model import Threshold, build_database, confidence_at_least
+from husrm.model import Rule, Threshold, build_database, confidence_at_least
 from husrm.oracle import OracleConfig, oracle_mine
 from husrm.srt import SeqOccurrences, SequenceRecordTable, SrtRow
 
@@ -27,11 +29,11 @@ def test_sample_rule_set(sample_db):
     rules, stats = mine_sample(sample_db)
     items = sample_db.items
     a, c, b, e = (items.id_of(t) for t in "acbe")
-    assert [r.key() for r in rules] == [
-        ((a,), (c,), 13, 3, 4),
-        ((c, e), (b,), 16, 1, 1),
-        ((b,), (c,), 16, 2, 3),
-        ((e,), (b,), 14, 1, 1),
+    assert rules == [
+        Rule((a,), (c,), 13, 3, 4),
+        Rule((c, e), (b,), 16, 1, 1),
+        Rule((b,), (c,), 16, 2, 3),
+        Rule((e,), (b,), 14, 1, 1),
     ]
     assert stats.rules == 4
     assert stats.candidates == 15
@@ -176,10 +178,20 @@ def test_disabling_gate_keeps_rules_and_grows_candidates(sample_db):
     assert stats_ungated.rrs_prunes == stats_ungated.view_prunes == 0
 
 
-def test_seu_form_flag_changes_nothing_on_rules(sample_db):
-    rules_a, _ = mine_sample(sample_db)
-    rules_b, _ = mine_sample(sample_db, seu_distinct_max=False)
-    assert [r.key() for r in rules_a] == [r.key() for r in rules_b]
+def test_config_has_no_dedup_or_seu_form_field(sample_db):
+    assert [f.name for f in fields(MiningConfig)] == ["minutil", "minconf", "variant", "threads"]
+    minutil, minconf = Threshold(1, 1), Threshold(6, 10)
+    for removed in ("seu_distinct_max", "dedup"):
+        with pytest.raises(TypeError):
+            MiningConfig(minutil, minconf, **{removed: True})
+    cfg = MiningConfig(minutil, minconf)
+    assert cfg.seu_distinct_max is True
+    with pytest.raises(AttributeError):
+        cfg.seu_distinct_max = False
+    prune = miner.prune_unpromising
+    assert prune(sample_db, minutil, distinct_max=True) == prune(sample_db, minutil)
+    with pytest.raises(ValueError, match="distinct_max must be True"):
+        prune(sample_db, minutil, distinct_max=False)
 
 
 def test_variant_configs():
@@ -190,16 +202,6 @@ def test_variant_configs():
     assert MiningConfig(minutil, minconf, variant="rsc").use_rru is True
     with pytest.raises(ValueError, match="unknown variant 'bogus'; choose from"):
         MiningConfig(minutil, minconf, variant="bogus")
-
-
-def test_dedup_flag_mines_the_deduped_database(sample_db):
-    from husrm.dataio import dedup_max_utility
-
-    minutil = thr("0.1").times(sample_db.total_utility)
-    rules, _ = mine(sample_db, MiningConfig(minutil, thr("0.6"), dedup=True))
-    deduped = dedup_max_utility(sample_db)
-    expected, _ = oracle_mine(deduped, OracleConfig(minutil, thr("0.6"), 8))
-    assert canon(rules) == canon(expected)
 
 
 def test_threads_other_than_one_is_rejected():

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from husrm.model import Threshold, build_database
+from husrm.model import Rule, Threshold, build_database
 from husrm.oracle import (
     OracleConfig,
     max_embedding_utility,
@@ -87,10 +87,10 @@ def test_oracle_sample_rules(sample_db):
     items = sample_db.items
     a, c, b, e = (items.id_of(t) for t in "acbe")
     assert canon(rules) == {
-        ((a,), (c,), 13, 3, 4),
-        ((b,), (c,), 16, 2, 3),
-        ((c, e), (b,), 16, 1, 1),
-        ((e,), (b,), 14, 1, 1),
+        Rule((a,), (c,), 13, 3, 4),
+        Rule((b,), (c,), 16, 2, 3),
+        Rule((c, e), (b,), 16, 1, 1),
+        Rule((e,), (b,), 14, 1, 1),
     }
 
 
@@ -99,10 +99,7 @@ def test_oracle_confidence_just_above_three_quarters(sample_db):
     rules, _ = oracle_mine(sample_db, OracleConfig(minutil, thr("0.76"), 8))
     items = sample_db.items
     b, c, e = (items.id_of(t) for t in "bce")
-    assert canon(rules) == {
-        ((c, e), (b,), 16, 1, 1),
-        ((e,), (b,), 14, 1, 1),
-    }
+    assert canon(rules) == {Rule((c, e), (b,), 16, 1, 1), Rule((e,), (b,), 14, 1, 1)}
 
 
 def test_oracle_empty_database():
@@ -182,3 +179,5 @@ def test_oracle_output_is_canonically_sorted(sample_db):
     rules, _ = oracle_mine(sample_db, OracleConfig(Threshold(0, 1), thr("0.4"), 8))
     keys = [(r.antecedent, r.consequent) for r in rules]
     assert keys == sorted(keys)
+    assert len(set(keys)) == len(keys)  # so the full-field order is the same
+    assert rules == sorted(rules)

@@ -29,7 +29,7 @@ import pytest
 
 from husrm.datagen import GenParams, generate
 from husrm.miner import VARIANTS, MiningConfig, mine
-from husrm.model import Threshold
+from husrm.model import Rule, Threshold
 
 
 def pattern_facts(db, length: int) -> dict[tuple[int, ...], list[int]]:
@@ -52,10 +52,10 @@ def pattern_facts(db, length: int) -> dict[tuple[int, ...], list[int]]:
     return facts
 
 
-def rules_of_length(facts, length: int) -> list[tuple]:
-    """Every cut of every pattern of `length` items, as Rule.key() tuples."""
+def rules_of_length(facts, length: int) -> list[Rule]:
+    """Every cut of every pattern of `length` items."""
     return [
-        (p[:j], p[j:], util, sup, facts[p[:j]][1])
+        Rule(p[:j], p[j:], util, sup, facts[p[:j]][1])
         for p, (util, sup) in facts.items()
         if len(p) == length
         for j in range(1, length)
@@ -89,10 +89,10 @@ def thresholds(facts, length: int, rank: int, conf_pick: str):
     utilities = sorted((util for p, (util, _) in facts.items() if len(p) == length), reverse=True)
     minutil = utilities[rank]
     rules = rules_of_length(facts, length)
-    confs = sorted(Fraction(sup, ant) for _, _, util, sup, ant in rules if util >= minutil)
+    confs = sorted(Fraction(r.support, r.antecedent_support) for r in rules if r.utility >= minutil)
     if conf_pick == "lowest":
         return minutil, confs[0]
-    at_minutil = max(Fraction(sup, ant) for _, _, util, sup, ant in rules if util == minutil)
+    at_minutil = max(Fraction(r.support, r.antecedent_support) for r in rules if r.utility == minutil)
     return minutil, min(confs[len(confs) // 2], at_minutil)
 
 
@@ -101,18 +101,19 @@ def check_rules_of_length(db, facts, length, variant, rank, conf_pick):
     expected = {
         rule
         for rule in rules_of_length(facts, length)
-        if rule[2] >= minutil and rule[3] * minconf.denominator >= rule[4] * minconf.numerator
+        if rule.utility >= minutil
+        and rule.support * minconf.denominator >= rule.antecedent_support * minconf.numerator
     }
     cfg = MiningConfig(
         Threshold(minutil, 1), Threshold(minconf.numerator, minconf.denominator), variant=variant
     )
     rules, _stats = mine(db, cfg)
-    got = [r.key() for r in rules if len(r.antecedent) + len(r.consequent) == length]
+    got = [r for r in rules if len(r.antecedent) + len(r.consequent) == length]
     assert len(got) == len(set(got))
     assert set(got) == expected
     # The boundary rules are in the set, so the comparisons are exercised.
-    assert any(util == minutil for _, _, util, _, _ in expected)
-    assert any(Fraction(sup, ant) == minconf for _, _, _, sup, ant in expected)
+    assert any(r.utility == minutil for r in expected)
+    assert any(Fraction(r.support, r.antecedent_support) == minconf for r in expected)
     assert len(expected) > rank // 2
 
 
