@@ -10,6 +10,7 @@ checking it, so results are reproducible from logs alone, rejected runs
 included.
 """
 
+import os
 import statistics
 import sys
 import time
@@ -45,6 +46,16 @@ def _out_stream(path: str | None):
     else:
         with open(path, "w", encoding="utf-8") as handle:
             yield handle
+
+
+def _same_file(a: str | None, b: str | None) -> bool:
+    """Whether two output paths name one file; None and "-" name a stream."""
+    if a in (None, "-") or b in (None, "-"):
+        return False
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # either is missing: compare where they would be created
+        return os.path.realpath(a) == os.path.realpath(b)
 
 
 def _add_input_args(parser: ArgumentParser) -> None:
@@ -97,9 +108,11 @@ def _load_and_echo(args, **own) -> tuple[SequenceDatabase, Threshold, Threshold]
 
 def _cmd_mine(args) -> int:
     db, minutil, minconf = _load_and_echo(
-        args, dedup=args.dedup, sort=args.sort, out=args.out or "-", stats=args.stats or "-"
+        args, dedup=args.dedup, sort=args.sort, out=args.out or "-", stats=args.stats or "<stderr>"
     )
     cfg = MiningConfig(minutil, minconf)
+    if _same_file(args.out, args.stats):
+        raise ValueError(f"--out and --stats name the same file: {args.stats}")
     stats_stream = nullcontext(sys.stderr) if args.stats is None else _out_stream(args.stats)
     with _out_stream(args.out) as out, stats_stream as stats_out:
         rules, stats = mine(db, cfg)

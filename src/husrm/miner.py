@@ -80,7 +80,10 @@ from .ult import UtilityTable, build_ult
 
 # A rule as plain fields, in Rule's order: antecedent, consequent,
 # utility, support, antecedent_support. The search emits these; mine
-# builds each Rule from them once.
+# builds each Rule from them once. The sides are shared, not copied: an
+# antecedent is the path table's prefix tuple and a consequent the
+# table's interned one, so equal sides of one top-level item's rules are
+# one object, in the search and in the Rules that mine returns.
 RuleFields = tuple[tuple[int, ...], tuple[int, ...], int, int, int]
 RuleSink = Callable[[RuleFields], None]
 
@@ -180,6 +183,12 @@ def rule_produce(srt: SequenceRecordTable, cfg: MiningConfig, sink: RuleSink) ->
     must reach minconf against the second-to-last row, the easiest
     antecedent. All emitted rules share the path's utility and support;
     only the antecedent support varies with the cut.
+
+    No side is copied per rule: the path's items are the table's last
+    prefix, the antecedent of the cut after j items is the table's
+    prefix of depth j, and each consequent is interned in
+    srt.consequents, so a consequent emitted before on this table
+    reuses the tuple emitted then.
     """
     rows = srt.rows
     n = len(rows)
@@ -192,12 +201,15 @@ def rule_produce(srt: SequenceRecordTable, cfg: MiningConfig, sink: RuleSink) ->
         return 0
     supports = [row.support for row in rows]
     k = find_cut_start(supports, last.support, cfg.minconf)
-    items = [row.item for row in rows]
+    prefixes = srt.prefixes
+    items = prefixes[-1]
+    consequents = srt.consequents
     for j in range(k, n):
+        consequent = items[j:]
         sink(
             (
-                tuple(items[:j]),
-                tuple(items[j:]),
+                prefixes[j - 1],
+                consequents.setdefault(consequent, consequent),
                 last.until_utility,
                 last.support,
                 supports[j - 1],
@@ -231,7 +243,10 @@ def srt_growth(
 # Records are length-prefixed so that _get reads each one with a single
 # read and decodes it from bytes: marshal.load on the file object issues
 # one readinto per field (23.5 ms against 0.8 ms on a chunk of 41,000
-# rule-field tuples).
+# rule-field tuples). marshal writes an object that one record holds
+# more than once as a back-reference and reads it back as one object,
+# so the rule sides stay shared through the file; that takes format
+# version 3 or higher (the default is 4).
 def _put(out: IO[bytes], obj: object) -> None:
     blob = marshal.dumps(obj)
     out.write(len(blob).to_bytes(8, "little"))
@@ -248,6 +263,9 @@ def _mine_bin(out: IO[bytes], ult: UtilityTable, items: list[int], cfg: MiningCo
     one record of rule fields per item to out, then the table's
     (candidates, rrs_prunes, view_prunes) record.
 
+    The sides of an item's rules are shared within its record (see
+    rule_produce and _put), and the table's interned consequents are
+    cleared once the record is written: sharing never spans two records.
     The caller runs this for bin 0 and each worker for its own bin, on
     items that have successors (see _split).
     """
@@ -266,6 +284,7 @@ def _mine_bin(out: IO[bytes], ult: UtilityTable, items: list[int], cfg: MiningCo
             else:
                 pending.append(iter(srt_growth(ult, srt, row, cfg, sink)))
         _put(out, chunk)
+        srt.consequents.clear()
     _put(out, (srt.candidates, srt.rrs_prunes, srt.view_prunes))
 
 

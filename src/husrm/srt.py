@@ -114,6 +114,14 @@ class _ScanScratch:
 class SequenceRecordTable:
     """Stack of rows for one depth-first path, and the search's counters.
 
+    prefixes[d] is the tuple of the path's first d + 1 items. Each push
+    builds one from its parent's and each pop drops it, so a prefix
+    lives exactly as long as its row. The rules cut from the path share
+    these tuples as antecedents, so equal antecedents are one object.
+    consequents interns the rule consequents emitted on this table
+    (each maps to itself); the miner clears it once a top-level item's
+    rules are written, so equal consequents of one item are one object.
+
     Over every path grown on this table: candidates counts the rows the
     miner pushed as extensions (top-level rows are not candidates),
     rrs_prunes the scanned candidates whose rrs fell below minutil, and
@@ -121,11 +129,20 @@ class SequenceRecordTable:
     fell below minutil.
     """
 
-    __slots__ = ("rows", "item_set", "scratch", "candidates", "rrs_prunes", "view_prunes")
+    __slots__ = (
+        "rows",
+        "prefixes",
+        "consequents",
+        "scratch",
+        "candidates",
+        "rrs_prunes",
+        "view_prunes",
+    )
 
     def __init__(self) -> None:
         self.rows: list[SrtRow] = []
-        self.item_set: set[int] = set()
+        self.prefixes: list[tuple[int, ...]] = []
+        self.consequents: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.scratch: _ScanScratch | None = None
         self.candidates = 0
         self.rrs_prunes = 0
@@ -136,19 +153,19 @@ class SequenceRecordTable:
 
     def push_row(self, row: SrtRow) -> None:
         # Violations here are miner bugs, never data conditions.
-        if row.item in self.item_set:
+        prefix = self.prefixes[-1] if self.prefixes else ()
+        if row.item in prefix:
             raise InvariantError("duplicate item pushed onto path")
         if self.rows and row.support > self.rows[-1].support:
             raise InvariantError("support monotonicity violated")
         self.rows.append(row)
-        self.item_set.add(row.item)
+        self.prefixes.append(prefix + (row.item,))
 
     def pop_row(self) -> SrtRow:
         if not self.rows:
             raise InvariantError("pop from empty table")
-        row = self.rows.pop()
-        self.item_set.discard(row.item)
-        return row
+        self.prefixes.pop()
+        return self.rows.pop()
 
 
 def init_row(ult: UtilityTable, item: int) -> SrtRow:

@@ -96,7 +96,10 @@ def test_config_echo_of_every_command(sample_path, tmp_path, capsys):
         ["mine", sample_path, "--delta", "0.1", "--dedup", "--sort", "--out", str(out), "--stats", str(stats)]
     ) == sample_config(sample_path, "mine") + ["dedup=true", "sort=true", f"out={out}", f"stats={stats}"]
     assert echoed(["mine", sample_path, "--delta", "0.1"]) == sample_config(sample_path, "mine") + [
-        "dedup=false", "sort=false", "out=-", "stats=-",
+        "dedup=false", "sort=false", "out=-", "stats=<stderr>",
+    ]
+    assert echoed(["mine", sample_path, "--delta", "0.1", "--out", "-", "--stats", "-"])[-2:] == [
+        "out=-", "stats=-",
     ]
     assert echoed(["oracle", sample_path, "--minutil", "6.4", "--minconf", "0.75"]) == sample_config(
         sample_path, "oracle", minconf="75/100"
@@ -241,6 +244,38 @@ def test_unopenable_output_exits_2_before_mining(
     assert out.out == ""
     lines = [line for line in out.err.splitlines() if not line.startswith("[config] ")]
     assert len(lines) == 1 and lines[0].startswith("error: ") and "missing" in lines[0]
+
+
+@pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
+def test_mine_rejects_one_file_for_rules_and_stats(sample_path, tmp_path, capsys, monkeypatch, exists):
+    def must_not_run(*args):
+        pytest.fail("mine ran with --out and --stats on one file")
+
+    monkeypatch.setattr(cli, "mine", must_not_run)
+    path = tmp_path / "both.txt"
+    other = tmp_path / "sub" / ".." / "both.txt"  # the same file, spelled differently
+    if exists:
+        path.write_text("kept\n")
+        (tmp_path / "sub").mkdir()
+    argv = ["mine", sample_path, "--delta", "0.1", "--out", str(path), "--stats", str(other)]
+    assert cli.main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    lines = [line for line in out.err.splitlines() if not line.startswith("[config] ")]
+    assert lines == [f"error: --out and --stats name the same file: {other}"]
+    if exists:
+        assert path.read_text() == "kept\n"
+    else:
+        assert not path.exists()
+
+
+def test_mine_writes_rules_and_stats_to_stdout_together(sample_path, capsys):
+    assert cli.main(["mine", sample_path, "--delta", "0.1", "--out", "-", "--stats", "-"]) == 0
+    out = capsys.readouterr()
+    lines = out.out.splitlines()
+    assert len(lines) == 4 + 11  # the rules, then the stats
+    assert lines[4].startswith("sequences=") and "rules=4" in lines
+    assert "rules=4" not in out.err
 
 
 def test_mine_is_deterministic_across_runs(sample_path, tmp_path):

@@ -134,6 +134,24 @@ def test_rule_produce_emits_all_cuts_from_the_found_start():
     assert got == [((0, 1, 2), (3,), 100, 2, 3)]
 
 
+def test_rule_produce_shares_prefixes_and_interns_consequents():
+    cfg = MiningConfig(Threshold(1, 1), Threshold(1, 2))
+    srt = fake_table([0, 1, 2, 3], [4, 4, 4, 4], until=100)
+    got = []
+    assert rule_produce(srt, cfg, got.append) == 3
+    assert [(ant, cons) for ant, cons, *_ in got] == [
+        ((0,), (1, 2, 3)), ((0, 1), (2, 3)), ((0, 1, 2), (3,)),
+    ]
+    assert all(fields[0] is srt.prefixes[j] for j, fields in enumerate(got))
+    srt.pop_row()
+    srt.pop_row()
+    srt.push_row(SrtRow(3, [SeqOccurrences(1, [(3, 0)], ())], 4, 100, 100))
+    again = []
+    assert rule_produce(srt, cfg, again.append) == 2
+    assert again[0][0] is got[0][0] and again[1][1] is got[2][1]
+    assert srt.consequents == {cons: cons for cons in [(1, 2, 3), (2, 3), (3,), (1, 3)]}
+
+
 def test_rule_produce_rejects_low_utility_or_confidence():
     cfg = MiningConfig(Threshold(101, 1), Threshold(6, 10))
     srt = fake_table([0, 1], [4, 3], until=100)

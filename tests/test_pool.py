@@ -90,6 +90,50 @@ def test_benchmark_shapes_are_the_same_in_every_bin_count(shape, force_bins):
     assert rules and stats.candidates and stats.rrs_prunes and stats.view_prunes
 
 
+def assert_sides_shared(rules):
+    """Within each top-level item's rules, equal antecedents are one
+    object and so are equal consequents; returns the count of distinct
+    (item, side, value) keys."""
+    seen = {}
+    for rule in rules:
+        for side, value in enumerate((rule.antecedent, rule.consequent)):
+            assert seen.setdefault((rule.antecedent[0], side, value), value) is value, rule
+    return len(seen)
+
+
+def test_rule_sides_are_shared_within_each_item_in_every_bin_count(force_bins):
+    params, delta, minconf = SHAPES["rule-flood"]
+    db = generate(params)
+    cfg = MiningConfig(thr(delta).times(db.total_utility), thr(minconf))
+    expected = mine_in_bins(db, cfg, force_bins, 1)
+    assert assert_sides_shared(expected[0]) < len(expected[0])
+    for n in (2, 3):
+        got = mine_in_bins(db, cfg, force_bins, n)
+        assert got == expected, f"{n} bins"
+        assert_sides_shared(got[0])
+
+
+def held_bytes(rules):
+    """Bytes of the list and of the objects its rules hold, each object
+    counted once. Items and ints up to 256 are the interpreter's cached
+    small ints, which no rule holds."""
+    sizes = {id(rules): sys.getsizeof(rules)}
+    for rule in rules:
+        held = [rule, rule.antecedent, rule.consequent]
+        held += [n for n in (rule.utility, rule.support, rule.antecedent_support) if n > 256]
+        for obj in held:
+            sizes.setdefault(id(obj), sys.getsizeof(obj))
+    return sum(sizes.values())
+
+
+def test_returned_rules_hold_at_most_150_bytes_each():
+    # When every rule copied its two sides, this read 209 bytes per rule.
+    db = generate(SHAPES["rule-flood"][0])
+    rules, _ = mine(db, MiningConfig(thr("0.01").times(db.total_utility), thr("0.1")))
+    assert len(rules) == 26153
+    assert held_bytes(rules) / len(rules) <= 150
+
+
 def split_table():
     """FAILING_DB's table at delta 0.03, where 31 of its 40 items have successors."""
     db = generate(FAILING_DB)

@@ -129,7 +129,9 @@ def test_push_pop_stack_discipline(small_db):
     srt.push_row(row_c)
     srt.pop_row()
     assert srt.rows == before
-    assert srt.item_set == {items.id_of("a")}
+    assert srt.prefixes == [(items.id_of("a"),)]
+    srt.push_row(row_c)
+    assert srt.prefixes == [(items.id_of("a"),), (items.id_of("a"), items.id_of("c"))]
 
 
 def test_push_rejects_duplicates_and_rising_support():
@@ -139,6 +141,7 @@ def test_push_rejects_duplicates_and_rising_support():
         srt.push_row(SrtRow(1, [SeqOccurrences(1, [(2, 5)], ())], 1, 5, 5))
     with pytest.raises(InvariantError):
         srt.push_row(SrtRow(2, [SeqOccurrences(1, [(2, 5)], ())], 2, 5, 5))
+    assert len(srt) == 1 and srt.prefixes == [(1,)]
 
 
 def test_pop_empty_table_is_a_bug():
