@@ -238,6 +238,7 @@ def _cmd_bench(args) -> int:
         print(f"srtgrowth_calls={stats.candidates}")
         print(f"rrs_prunes={stats.rrs_prunes}")
         print(f"view_prunes={stats.view_prunes}")
+        print(f"iip_prunes={stats.iip_prunes}")
         print(f"rules={stats.rules}")
         print(f"median_runtime_ms={med:.1f}")
         print()

@@ -328,3 +328,4 @@ def write_stats(stats, stream: TextIO) -> None:
     stream.write(f"rrs_prunes={stats.rrs_prunes}\n")
     stream.write(f"runtime_ms={stats.runtime_ms}\n")
     stream.write(f"view_prunes={stats.view_prunes}\n")
+    stream.write(f"iip_prunes={stats.iip_prunes}\n")

@@ -30,22 +30,25 @@ Mining stays in one bin (no fork) on one CPU, without os.fork or
 os.sched_getaffinity, while another thread runs, and for a table below
 PARALLEL_MIN_EVENTS events.
 
-A child passes two gates before it is pushed: the paper's rrs bound,
-checked on the aggregates of the first scan phase, then the view bound
-(see srt), checked once the child's occurrences and view are rebuilt.
+A child passes three gates before it is pushed (see srt): the paper's
+rrs bound and then the child item's share, both checked on the
+aggregates of the first scan phase, then the view bound, checked once
+the child's occurrences and view are rebuilt. An item whose share falls
+below minutil bounds every path through the current one that contains
+it, so the scan also removes it from every view below that path.
 MiningConfig.variant names the benchmark variant: rscn disables the
-early item prune, rscp runs both extension gates at minutil 0, where
-they drop nothing, rscr swaps the reduced suffix bound for the raw one.
-Every variant runs the same scan, and the successor sets are on in every
-variant; the rrs_prunes counter counts only the extensions they let
-through that the rrs gate then drops, and view_prunes the ones the view
-bound drops after that.
+early item prune, rscp runs all three extension gates at minutil 0,
+where they drop nothing, rscr swaps the reduced suffix bound for the raw
+one. Every variant runs the same scan, and the successor sets are on in
+every variant; the rrs_prunes counter counts only the extensions they
+let through that the rrs gate then drops, iip_prunes the ones the share
+drops after that, and view_prunes the ones the view bound drops last.
 
 Each bin grows its paths on one SequenceRecordTable, which holds the
 search's counters: srt_growth counts candidates on it and the scan adds
-both gates' drops to it. The bin's counters record is that table's
-three counters; mine sums the records into its MiningStats, the only
-one a mine builds.
+every gate's drops to it. The bin's counters record is that table's
+four counters; mine sums the records into its MiningStats, the only one
+a mine builds.
 """
 
 import marshal
@@ -153,6 +156,7 @@ class MiningStats:
     rules: int = 0
     runtime_ms: int = 0
     view_prunes: int = 0
+    iip_prunes: int = 0
 
 
 def find_cut_start(supports: Seq[int], sup_n: int, minconf: Threshold) -> int:
@@ -219,8 +223,9 @@ def rule_produce(srt: SequenceRecordTable, cfg: MiningConfig, sink: RuleSink) ->
 
 
 def _extensions(ult: UtilityTable, srt: SequenceRecordTable, cfg: MiningConfig) -> list[SrtRow]:
-    """Child rows of the current path, gated on rrs and the view bound at
-    minutil, or at 0 under rscp; both gates' drops accumulate on srt."""
+    """Child rows of the current path, gated on rrs, the share and the
+    view bound at minutil, or at 0 under rscp; every gate's drops
+    accumulate on srt."""
     if cfg.use_rrs_prune:
         return scan_extensions_gated(ult, srt, cfg.minutil)[0]
     return scan_extensions(ult, srt)
@@ -261,7 +266,7 @@ def _get(src: IO[bytes]) -> Any:
 def _mine_bin(out: IO[bytes], ult: UtilityTable, items: list[int], cfg: MiningConfig) -> None:
     """Grow a bin's top-level items in turn on one path table, writing
     one record of rule fields per item to out, then the table's
-    (candidates, rrs_prunes, view_prunes) record.
+    (candidates, rrs_prunes, view_prunes, iip_prunes) record.
 
     The sides of an item's rules are shared within its record (see
     rule_produce and _put), and the table's interned consequents are
@@ -285,7 +290,7 @@ def _mine_bin(out: IO[bytes], ult: UtilityTable, items: list[int], cfg: MiningCo
                 pending.append(iter(srt_growth(ult, srt, row, cfg, sink)))
         _put(out, chunk)
         srt.consequents.clear()
-    _put(out, (srt.candidates, srt.rrs_prunes, srt.view_prunes))
+    _put(out, (srt.candidates, srt.rrs_prunes, srt.view_prunes, srt.iip_prunes))
 
 
 def _usable_cpus() -> int:
@@ -420,10 +425,11 @@ def _mine_bins(
         for b in bin_of.values():
             rules.extend(starmap(Rule, _get(outs[b])))
         for out in outs:
-            candidates, rrs_prunes, view_prunes = _get(out)
+            candidates, rrs_prunes, view_prunes, iip_prunes = _get(out)
             stats.candidates += candidates
             stats.rrs_prunes += rrs_prunes
             stats.view_prunes += view_prunes
+            stats.iip_prunes += iip_prunes
         return rules
     finally:
         _kill_and_reap(running)

@@ -12,36 +12,49 @@ Extension scanning walks each occurrence's projected view: the positions
 after its earliest end whose item is still in the path's candidate set
 C. C holds the items that may extend the path and still head a rule:
 C(x) = successors[x] for a length-1 path and C(P.y) = C(P) & successors[y]
-(the utility table's EUCP successor sets), so no path item is ever in
-it. A running maximum over the best prefix utilities whose end positions
-lie strictly before the scan point gives, at each later position q, both
-the best extended-prefix utility (running + u(q)) and the rrs
-contribution (running + rru(q)). Scanning from the earliest end position
-loses no extension: any later position extends at least the embedding
-ending there.
+(the utility table's EUCP successor sets) less the items the share gate
+drops at P (below), so no path item is ever in it. A running maximum
+over the best prefix utilities whose end positions lie strictly before
+the scan point gives, at each later position q, both the best
+extended-prefix utility (running + u(q)) and the rrs contribution
+(running + rru(q)). Scanning from the earliest end position loses no
+extension: any later position extends at least the embedding ending
+there.
+
+Each occurrence also stores its view-bound term: its best entry
+utility plus the utilities at its view positions. Any extension of the
+prefix that reaches minutil adds only candidate-set items, at distinct
+positions after the end where the prefix sits; those positions are all
+in the view, so no such extension is worth more in that sequence than
+the term. A row's view bound is the sum of its occurrences' terms.
 
 The scan is the miner's hot path, so it runs in two phases. Phase one
-walks the views once and aggregates support, until_utility and rrs per
+walks the views once and aggregates support, rrs and share per
 candidate item into reusable stamped arrays, folding an item's
-per-sequence best into the totals when the item turns up in a later
-sequence. Phase two rebuilds the occurrence entries only for candidates
-that survive the caller's utility gate, finding their sequences through
-the utility table's item index (item -> sid -> positions), and builds
-each child view by filtering the parent's view, from the child's first
-end on, with the child's successor set.
+per-sequence rrs term into the totals when the item turns up in a later
+sequence. An item's share is the sum of the terms of the occurrences
+whose view holds it: one add at its first sighting in each occurrence.
+Phase two rebuilds the occurrence entries only for candidates that
+survive the caller's utility gates, finding their sequences through the
+utility table's item index (item -> sid -> positions), sums the child's
+until_utility from its best entries, and builds each child view by
+filtering the parent's view, from the child's first end on, with the
+child's successor set.
 
-Every scan gates each candidate twice. Before phase two it checks the
-paper's rrs bound. After phase two it checks the child's view bound
-B = until_utility + the sum of the utilities at the child's view
-positions, and drops the child when B falls below minutil. Every
-extension of the child that can still reach minutil adds only items of
-its candidate set, at distinct positions after the end where the child's
-item sits; those positions are all in the child's view, so no such
-extension is worth more in a sequence than the sequence's best entry
-plus its view sum. B is also at least until_utility, so the child's own
-rules are never lost. The sum costs one add per kept view position.
-At minutil 0 neither gate can drop a row; scan_extensions scans there,
-and so does the rscp ablation.
+Every scan gates each candidate three times, against minutil:
+- rrs, the paper's bound, on the phase-one aggregates;
+- the share (irrelevant-item pruning, as in HUSP-ULL). A path through
+  the current prefix that contains item z occurs only in sequences
+  whose view holds z, and is worth at most the term in each, so its
+  utility is at most z's share. An item whose share falls below
+  minutil is therefore dropped as a candidate, and also taken out of
+  every kept child's candidate set; child views are filtered from the
+  parent's, so it is gone from every view below the prefix;
+- the view bound, once the child's occurrences and view are rebuilt:
+  the sum of the child's terms. It is at least until_utility, so the
+  child's own rules are never lost.
+At minutil 0 no gate can drop a row or an item; scan_extensions scans
+there, and so does the rscp ablation.
 
 One table holds the path the search is growing, and the miner reuses it
 from one top-level item to the next, so the table also keeps the
@@ -57,7 +70,8 @@ from .ult import UtilityTable
 
 @dataclass(slots=True)
 class SeqOccurrences:
-    """End positions of the current prefix within one sequence, and its view.
+    """End positions of the current prefix within one sequence, its view,
+    and its view-bound term.
 
     entries is ascending in position; each entry pairs a 1-based end
     position with the best prefix utility over embeddings ending exactly
@@ -65,11 +79,15 @@ class SeqOccurrences:
     end whose item is in the path's candidate set: the only positions a
     scan of this occurrence visits. It is a tuple, which the garbage
     collector stops tracking, and empty views share the empty tuple.
+    bound is the best entry utility plus the utilities at the view's
+    positions: no extension of the prefix that can reach minutil is
+    worth more in this sequence.
     """
 
     sid: int
     entries: list[tuple[int, int]]
     view: tuple[int, ...]
+    bound: int
 
 
 @dataclass(slots=True)
@@ -86,28 +104,19 @@ class _ScanScratch:
 
     seq_stamp counts the occurrence sequences scanned so far; seq_ep[it]
     is the stamp of the last sequence in which item it was seen, and
-    seq_best / seq_bound its best utility and bound within that sequence.
+    seq_bound its rrs term within that sequence. share[it] sums the
+    bounds of the occurrences whose view holds it.
     """
 
-    __slots__ = (
-        "size",
-        "seq_stamp",
-        "seq_ep",
-        "sup",
-        "until",
-        "rrs",
-        "seq_best",
-        "seq_bound",
-    )
+    __slots__ = ("size", "seq_stamp", "seq_ep", "sup", "rrs", "share", "seq_bound")
 
     def __init__(self, size: int) -> None:
         self.size = size
         self.seq_stamp = 0
         self.seq_ep = [0] * size
         self.sup = [0] * size
-        self.until = [0] * size
         self.rrs = [0] * size
-        self.seq_best = [0] * size
+        self.share = [0] * size
         self.seq_bound = [0] * size
 
 
@@ -124,9 +133,10 @@ class SequenceRecordTable:
 
     Over every path grown on this table: candidates counts the rows the
     miner pushed as extensions (top-level rows are not candidates),
-    rrs_prunes the scanned candidates whose rrs fell below minutil, and
-    view_prunes the ones that passed the rrs gate but whose view bound
-    fell below minutil.
+    rrs_prunes the scanned candidates whose rrs fell below minutil,
+    iip_prunes the ones that passed the rrs gate but whose share fell
+    below minutil, and view_prunes the ones that passed both but whose
+    view bound fell below minutil.
     """
 
     __slots__ = (
@@ -136,6 +146,7 @@ class SequenceRecordTable:
         "scratch",
         "candidates",
         "rrs_prunes",
+        "iip_prunes",
         "view_prunes",
     )
 
@@ -146,6 +157,7 @@ class SequenceRecordTable:
         self.scratch: _ScanScratch | None = None
         self.candidates = 0
         self.rrs_prunes = 0
+        self.iip_prunes = 0
         self.view_prunes = 0
 
     def __len__(self) -> int:
@@ -173,8 +185,9 @@ def init_row(ult: UtilityTable, item: int) -> SrtRow:
 
     Each occurrence's best prefix utility is its own utility and its view
     keeps the positions after the first occurrence whose item is a
-    successor of this one (none, for an item the miner never grows). The
-    row bound sums, over the item's sequences, its largest stored rru
+    successor of this one (none, for an item the miner never grows), and
+    its bound adds the utilities at those positions to its best utility.
+    The row's rrs sums, over the item's sequences, its largest stored rru
     there. An item the table does not hold raises KeyError.
     """
     seq_items = ult.seq_items
@@ -189,20 +202,21 @@ def init_row(ult: UtilityTable, item: int) -> SrtRow:
         rrus_s = seq_rrus[sid]
         entries = []
         best = 0
-        bound = 0
+        top_rru = 0
         for k in positions:
             u = utils_s[k]
             entries.append((k + 1, u))
             if u > best:
                 best = u
             r = rrus_s[k]
-            if r > bound:
-                bound = r
+            if r > top_rru:
+                top_rru = r
         until += best
-        rrs += bound
+        rrs += top_rru
         items_s = seq_items[sid]
         view = tuple([k for k in range(positions[0] + 1, len(items_s)) if items_s[k] in succ])
-        occurrences.append(SeqOccurrences(sid, entries, view))
+        occ_bound = best + sum(map(utils_s.__getitem__, view))
+        occurrences.append(SeqOccurrences(sid, entries, view, occ_bound))
     return SrtRow(item, occurrences, len(occurrences), until, rrs)
 
 
@@ -214,8 +228,11 @@ def scan_extensions_gated(
     Returns ready rows in first-encounter order, and the count of
     candidates dropped because their rrs fell below minutil before their
     rows were materialized; that count is also added to srt.rrs_prunes.
-    Materialized rows whose view bound falls below minutil are dropped
-    after, and counted in srt.view_prunes.
+    Candidates past the rrs gate whose share falls below minutil are
+    dropped next, counted in srt.iip_prunes, and every share-dead item
+    is left out of the kept rows' views. Materialized rows whose view
+    bound falls below minutil are dropped after, and counted in
+    srt.view_prunes.
     Each row's item and rrs name the extension and its bound. Items
     already on the path (rules cannot repeat items) and items the
     successor sets block are not in the views, so they are never found.
@@ -226,23 +243,23 @@ def scan_extensions_gated(
         scratch = srt.scratch = _ScanScratch(ult.n_item_ids)
     seq_ep = scratch.seq_ep
     g_sup = scratch.sup
-    g_until = scratch.until
     g_rrs = scratch.rrs
-    s_best = scratch.seq_best
+    g_share = scratch.share
     s_bound = scratch.seq_bound
     seq_items = ult.seq_items
     seq_utils = ult.seq_utils
     seq_rrus = ult.seq_rrus
     # Stamps only grow: an item stamped at or below base is new to this
     # scan, one stamped between base and the current sequence's stamp
-    # still has that earlier sequence's best and bound to fold in.
+    # still has that earlier sequence's rrs term to fold in.
     base = stamp = scratch.seq_stamp
     order: list[int] = []
 
     # Phase one: aggregate per candidate item over the views. Between two
     # consecutive end positions the running best is constant, so the walk
     # goes segment by segment; a 1-based entry position doubles as the
-    # 0-based index of the first position after it.
+    # 0-based index of the first position after it. An item's first
+    # sighting in an occurrence adds the occurrence's bound to its share.
     occurrences = last.occurrences
     for occ in occurrences:
         view = occ.view
@@ -250,8 +267,8 @@ def scan_extensions_gated(
             continue
         sid = occ.sid
         items_s = seq_items[sid]
-        utils_s = seq_utils[sid]
         rrus_s = seq_rrus[sid]
+        occ_bound = occ.bound
         stamp += 1
         entries = occ.entries
         run = entries[0][1]
@@ -263,26 +280,22 @@ def scan_extensions_gated(
             hi = bisect_left(view, entries[ei][0], lo) if ei < m else n
             for k in view[lo:hi] if lo or hi < n else view:
                 it = items_s[k]
-                v = run + utils_s[k]
                 r = run + rrus_s[k]
                 seen = seq_ep[it]
                 if seen == stamp:
-                    if v > s_best[it]:
-                        s_best[it] = v
                     if r > s_bound[it]:
                         s_bound[it] = r
                     continue
                 if seen > base:
                     g_sup[it] += 1
-                    g_until[it] += s_best[it]
                     g_rrs[it] += s_bound[it]
+                    g_share[it] += occ_bound
                 else:
                     order.append(it)
                     g_sup[it] = 1
-                    g_until[it] = 0
                     g_rrs[it] = 0
+                    g_share[it] = occ_bound
                 seq_ep[it] = stamp
-                s_best[it] = v
                 s_bound[it] = r
             if hi == n:
                 break
@@ -293,20 +306,22 @@ def scan_extensions_gated(
             ei += 1
     scratch.seq_stamp = stamp
     for it in order:
-        g_until[it] += s_best[it]
         g_rrs[it] += s_bound[it]
 
-    # Phase two: gate on rrs, then rebuild occurrence entries and views
-    # only for survivors, finding their sequences through the item index,
-    # and gate again on the view bound. The walk over the parent's
-    # occurrences stops at the sup-th one found. Summed over sequences,
-    # the best new entry utilities are the item's until_utility, so
-    # only the view utilities (tail) need adding up here.
+    # Phase two: gate on rrs and on the share, then rebuild occurrence
+    # entries and views only for survivors, finding their sequences
+    # through the item index, and gate again on the view bound. The walk
+    # over the parent's occurrences stops at the sup-th one found. Each
+    # occurrence's best new entry adds to until_utility and starts its
+    # bound. A child's view leaves out the share-dead items, as do all
+    # views filtered from it further down the path.
     out: list[SrtRow] = []
     pruned = 0
+    iip_pruned = 0
     view_pruned = 0
     num = minutil.numerator
     den = minutil.denominator
+    dead = {it for it in order if g_share[it] * den < num}
     item_positions = ult.item_positions
     successors = ult.successors
     for it in order:
@@ -314,10 +329,16 @@ def scan_extensions_gated(
         if rrs * den < num:
             pruned += 1
             continue
+        if it in dead:
+            iip_pruned += 1
+            continue
         positions_by_sid = item_positions[it]
         succ = successors[it]
+        if not succ.isdisjoint(dead):
+            succ = succ - dead
         sup = g_sup[it]
-        tail = 0
+        until = 0
+        total = 0
         occ_rows: list[SeqOccurrences] = []
         for occ in occurrences:
             sid = occ.sid
@@ -332,6 +353,7 @@ def scan_extensions_gated(
             run = -1
             ei = 0
             m = len(entries)
+            best = 0
             ents_out: list[tuple[int, int]] = []
             for j in pos_idx[lo:]:
                 q = j + 1
@@ -340,7 +362,12 @@ def scan_extensions_gated(
                     if b > run:
                         run = b
                     ei += 1
-                ents_out.append((q, run + utils_s[j]))
+                v = run + utils_s[j]
+                ents_out.append((q, v))
+                if v > best:
+                    best = v
+            until += best
+            bound = best
             child: list[int] = []
             if succ:
                 view = occ.view
@@ -348,21 +375,23 @@ def scan_extensions_gated(
                 for k in view[bisect_left(view, pos_idx[lo] + 1) :]:
                     if items_s[k] in succ:
                         child.append(k)
-                        tail += utils_s[k]
-            occ_rows.append(SeqOccurrences(sid, ents_out, tuple(child)))
+                        bound += utils_s[k]
+            occ_rows.append(SeqOccurrences(sid, ents_out, tuple(child), bound))
+            total += bound
             if len(occ_rows) == sup:
                 break
-        until = g_until[it]
-        if (until + tail) * den < num:
+        if total * den < num:
             view_pruned += 1
             continue
         out.append(SrtRow(it, occ_rows, sup, until, rrs))
     srt.rrs_prunes += pruned
+    srt.iip_prunes += iip_pruned
     srt.view_prunes += view_pruned
     return out, pruned
 
 
 def scan_extensions(ult: UtilityTable, srt: SequenceRecordTable) -> list[SrtRow]:
     """Every one-item extension of the current path in its candidate set:
-    scan_extensions_gated at minutil 0, where neither gate drops a row."""
+    scan_extensions_gated at minutil 0, where no gate drops a row or an
+    item."""
     return scan_extensions_gated(ult, srt, Threshold(0, 1))[0]

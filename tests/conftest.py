@@ -73,13 +73,24 @@ def make_random_db(seed: int) -> SequenceDatabase:
     return build_database(rows)
 
 
+def occurrence_bound(ult, occ) -> int:
+    """An occurrence's view-bound term, from its entries and view: the
+    best entry utility plus the utilities at the view's positions."""
+    return max(u for _, u in occ.entries) + sum(ult.seq_utils[occ.sid][k] for k in occ.view)
+
+
 def view_bound(ult, row) -> int:
-    """The scan's view bound of a row, from its entries and views: per
-    sequence, the best entry utility plus the utilities at the view's
-    positions."""
+    """The scan's view bound of a row: the sum of its occurrences' terms."""
+    return sum(occurrence_bound(ult, occ) for occ in row.occurrences)
+
+
+def share(ult, row, item) -> int:
+    """The item's share of a row's view bound: the sum of the terms of
+    the row's occurrences whose view holds the item."""
     return sum(
-        max(u for _, u in occ.entries) + sum(ult.seq_utils[occ.sid][k] for k in occ.view)
+        occurrence_bound(ult, occ)
         for occ in row.occurrences
+        if any(ult.seq_items[occ.sid][k] == item for k in occ.view)
     )
 
 

@@ -16,7 +16,7 @@ from husrm.oracle import OracleConfig, max_embedding_utility, oracle_mine
 from husrm.srt import SequenceRecordTable, init_row, scan_extensions
 from husrm.ult import build_ult
 
-from conftest import SAMPLE_NATIVE, SAMPLE_ROWS, canon, make_random_db, thr, view_bound
+from conftest import SAMPLE_NATIVE, SAMPLE_ROWS, canon, make_random_db, share, thr, view_bound
 from reference import PositionRef, rru_at, ru_at
 
 DELTAS = ("0.01", "0.05", "0.1", "0.3")
@@ -160,11 +160,15 @@ def test_criterion_4_pruning_soundness(corpus):
 
 
 def max_descendant_utility(db, ult, srt, prefix):
-    """Largest exact pattern utility over all strict extensions of prefix.
+    """Largest exact pattern utility over all strict extensions of prefix,
+    and for each item the largest over the extensions that contain it.
 
-    Checks on the way that each child's rrs covers its own utility and
-    its view bound covers both that and its best descendant's."""
+    Checks on the way that each child's rrs covers its own utility, that
+    its view bound covers both that and its best descendant's, and that
+    each item's share of the path's last row covers every extension
+    that contains the item."""
     best = -1
+    best_with: dict[int, int] = {}
     for row in scan_extensions(ult, srt):
         util = 0
         for seq in db.sequences:
@@ -173,11 +177,17 @@ def max_descendant_utility(db, ult, srt, prefix):
                 util += u
         assert row.rrs >= util, (prefix, row.item)
         srt.push_row(row)
-        deeper = max_descendant_utility(db, ult, srt, prefix + (row.item,))
+        deeper, deeper_with = max_descendant_utility(db, ult, srt, prefix + (row.item,))
         srt.pop_row()
         assert view_bound(ult, row) >= max(util, deeper), (prefix, row.item)
         best = max(best, util, deeper)
-    return best
+        deeper_with[row.item] = max(util, deeper)
+        for item, u in deeper_with.items():
+            best_with[item] = max(best_with.get(item, -1), u)
+    last = srt.rows[-1]
+    for item, u in best_with.items():
+        assert share(ult, last, item) >= u, (prefix, item)
+    return best, best_with
 
 
 def test_criterion_5_bound_properties(corpus):
@@ -191,16 +201,17 @@ def test_criterion_5_bound_properties(corpus):
                 if duplicate_free:
                     assert lo == hi
 
-    # Soundness of rrs and of the view bound at every reachable row,
-    # exhaustively at desk scale. The table is built at minutil 0, so the
-    # successor sets block nothing and the ungated walk reaches every path.
+    # Soundness of rrs, of the view bound and of the shares at every
+    # reachable row, exhaustively at desk scale. The table is built at
+    # minutil 0, so the successor sets block nothing and the ungated walk
+    # reaches every path.
     for db in [build_database(SAMPLE_ROWS)] + corpus[:150]:
         ult = build_ult(db)
         for item in ult.item_positions:
             srt = SequenceRecordTable()
             row = init_row(ult, item)
             srt.push_row(row)
-            best_ext = max_descendant_utility(db, ult, srt, (item,))
+            best_ext, _ = max_descendant_utility(db, ult, srt, (item,))
             assert view_bound(ult, row) >= max(row.until_utility, best_ext)
             if best_ext >= 0:
                 assert row.rrs >= best_ext

@@ -273,7 +273,7 @@ def test_mine_writes_rules_and_stats_to_stdout_together(sample_path, capsys):
     assert cli.main(["mine", sample_path, "--delta", "0.1", "--out", "-", "--stats", "-"]) == 0
     out = capsys.readouterr()
     lines = out.out.splitlines()
-    assert len(lines) == 4 + 11  # the rules, then the stats
+    assert len(lines) == 4 + 12  # the rules, then the stats
     assert lines[4].startswith("sequences=") and "rules=4" in lines
     assert "rules=4" not in out.err
 
@@ -453,10 +453,11 @@ def test_bench_all_variants(sample_path, capsys):
     assert counters["rsc"] <= counters["rscr"]
     blocks = [block.splitlines() for block in out.strip().split("\n\n")]
     assert [[line.split("=")[0] for line in block] for block in blocks] == [
-        ["variant", "candidates", "srtgrowth_calls", "rrs_prunes", "view_prunes", "rules",
-         "median_runtime_ms"]
+        ["variant", "candidates", "srtgrowth_calls", "rrs_prunes", "view_prunes", "iip_prunes",
+         "rules", "median_runtime_ms"]
     ] * 4
-    assert "rrs_prunes=0" in blocks[2] and "view_prunes=0" in blocks[2]  # rscp: no gate
+    for key in ("rrs_prunes", "view_prunes", "iip_prunes"):
+        assert f"{key}=0" in blocks[2]  # rscp: no gate
 
 
 def test_bench_empty_database(tmp_path, capsys):

@@ -322,6 +322,7 @@ def test_write_stats_contract(sample_db):
         "rrs_prunes",
         "runtime_ms",
         "view_prunes",
+        "iip_prunes",
     ]
 
     # identical runs differ at most in runtime_ms

@@ -136,7 +136,7 @@ def test_every_variant_mines_the_same_rules(base):
     # The ablations really change the search on this input. rscn and rscr
     # can grow as many candidates, so their gate counters tell them apart.
     searches = {
-        name: (stats.candidates, stats.rrs_prunes, stats.view_prunes)
+        name: (stats.candidates, stats.rrs_prunes, stats.view_prunes, stats.iip_prunes)
         for name, (_, stats) in results.items()
     }
     assert len(set(searches.values())) == len(VARIANTS), searches

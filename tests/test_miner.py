@@ -39,6 +39,7 @@ def test_sample_rule_set(sample_db):
     assert stats.candidates == 15
     assert stats.rrs_prunes == 1
     assert stats.view_prunes == 0
+    assert stats.iip_prunes == 0
     assert stats.sequences == 5
     assert stats.distinct_items == 6
     assert stats.items_after_pruning == 5
@@ -120,7 +121,7 @@ def test_find_cut_start_matches_linear_scan(raw, num, den):
 def fake_table(items, supports, until, rrs=None):
     srt = SequenceRecordTable()
     for i, (item, sup) in enumerate(zip(items, supports)):
-        row = SrtRow(item, [SeqOccurrences(1, [(i + 1, 0)], ())], sup, until, rrs or until)
+        row = SrtRow(item, [SeqOccurrences(1, [(i + 1, 0)], (), 0)], sup, until, rrs or until)
         srt.push_row(row)
     return srt
 
@@ -145,7 +146,7 @@ def test_rule_produce_shares_prefixes_and_interns_consequents():
     assert all(fields[0] is srt.prefixes[j] for j, fields in enumerate(got))
     srt.pop_row()
     srt.pop_row()
-    srt.push_row(SrtRow(3, [SeqOccurrences(1, [(3, 0)], ())], 4, 100, 100))
+    srt.push_row(SrtRow(3, [SeqOccurrences(1, [(3, 0)], (), 0)], 4, 100, 100))
     again = []
     assert rule_produce(srt, cfg, again.append) == 2
     assert again[0][0] is got[0][0] and again[1][1] is got[2][1]
@@ -193,7 +194,7 @@ def test_disabling_gate_keeps_rules_and_grows_candidates(sample_db):
     rules_ungated, stats_ungated = mine_sample(sample_db, variant="rscp")
     assert canon(rules) == canon(rules_ungated)
     assert stats.candidates <= stats_ungated.candidates
-    assert stats_ungated.rrs_prunes == stats_ungated.view_prunes == 0
+    assert stats_ungated.rrs_prunes == stats_ungated.view_prunes == stats_ungated.iip_prunes == 0
 
 
 def test_config_has_no_dedup_or_seu_form_field(sample_db):

@@ -87,7 +87,8 @@ def test_benchmark_shapes_are_the_same_in_every_bin_count(shape, force_bins):
     db = generate(params)
     cfg = MiningConfig(thr(delta).times(db.total_utility), thr(minconf))
     rules, stats = assert_bin_count_changes_nothing(db, cfg, force_bins)
-    assert rules and stats.candidates and stats.rrs_prunes and stats.view_prunes
+    assert rules and stats.candidates
+    assert stats.rrs_prunes and stats.view_prunes and stats.iip_prunes
 
 
 def assert_sides_shared(rules):

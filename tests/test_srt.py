@@ -18,7 +18,7 @@ from husrm.srt import (
 )
 from husrm.ult import build_ult
 
-from conftest import make_random_db, view_bound
+from conftest import make_random_db, occurrence_bound, share, view_bound
 
 
 def rows_view(row):
@@ -136,11 +136,11 @@ def test_push_pop_stack_discipline(small_db):
 
 def test_push_rejects_duplicates_and_rising_support():
     srt = SequenceRecordTable()
-    srt.push_row(SrtRow(1, [SeqOccurrences(1, [(1, 5)], ())], 1, 5, 5))
+    srt.push_row(SrtRow(1, [SeqOccurrences(1, [(1, 5)], (), 5)], 1, 5, 5))
     with pytest.raises(InvariantError):
-        srt.push_row(SrtRow(1, [SeqOccurrences(1, [(2, 5)], ())], 1, 5, 5))
+        srt.push_row(SrtRow(1, [SeqOccurrences(1, [(2, 5)], (), 5)], 1, 5, 5))
     with pytest.raises(InvariantError):
-        srt.push_row(SrtRow(2, [SeqOccurrences(1, [(2, 5)], ())], 2, 5, 5))
+        srt.push_row(SrtRow(2, [SeqOccurrences(1, [(2, 5)], (), 5)], 2, 5, 5))
     assert len(srt) == 1 and srt.prefixes == [(1,)]
 
 
@@ -156,9 +156,9 @@ from husrm.srt import SeqOccurrences, SequenceRecordTable, SrtRow
 if __debug__:
     raise SystemExit("expected to run under python -O")
 srt = SequenceRecordTable()
-srt.push_row(SrtRow(1, [SeqOccurrences(1, [(1, 5)], ())], 1, 5, 5))
+srt.push_row(SrtRow(1, [SeqOccurrences(1, [(1, 5)], (), 5)], 1, 5, 5))
 try:
-    srt.push_row(SrtRow(1, [SeqOccurrences(1, [(2, 5)], ())], 1, 5, 5))
+    srt.push_row(SrtRow(1, [SeqOccurrences(1, [(2, 5)], (), 5)], 1, 5, 5))
 except InvariantError:
     raise SystemExit(0)
 raise SystemExit("duplicate push went unchecked")
@@ -178,20 +178,47 @@ def test_push_checks_survive_optimized_mode():
     assert proc.returncode == 0, proc.stderr
 
 
+def without_items(ult, row, dead):
+    """row with the given items left out of every view, and each
+    occurrence's bound recomputed."""
+    occurrences = []
+    for occ in row.occurrences:
+        items_s = ult.seq_items[occ.sid]
+        view = tuple(k for k in occ.view if items_s[k] not in dead)
+        kept = SeqOccurrences(occ.sid, occ.entries, view, 0)
+        kept.bound = occurrence_bound(ult, kept)
+        occurrences.append(kept)
+    return SrtRow(row.item, occurrences, row.support, row.until_utility, row.rrs)
+
+
+def assert_bounds_stored(ult, rows):
+    for row in rows:
+        for occ in row.occurrences:
+            assert occ.bound == occurrence_bound(ult, occ), (row.item, occ.sid)
+        assert sum(occ.bound for occ in row.occurrences) == view_bound(ult, row)
+
+
 def check_gated_against_ungated(ult, srt, minutil):
-    """The gated scan keeps exactly the ungated rows whose rrs and view
-    bound both reach minutil, and counts the rest under the gate that
-    dropped them. Returns the kept rows."""
+    """The gated scan keeps exactly the ungated rows whose rrs, share and
+    view bound all reach minutil, with the share-dead items left out of
+    their views, and counts the rest under the gate that dropped them.
+    Returns the kept rows."""
     num, den = minutil.numerator, minutil.denominator
     every = scan_extensions(ult, srt)
-    rrs_before, view_before = srt.rrs_prunes, srt.view_prunes
+    assert_bounds_stored(ult, every)
+    parent = srt.rows[-1]
+    dead = {r.item for r in every if share(ult, parent, r.item) * den < num}
+    rrs_before, iip_before, view_before = srt.rrs_prunes, srt.iip_prunes, srt.view_prunes
     gated, pruned = scan_extensions_gated(ult, srt, minutil)
+    assert_bounds_stored(ult, gated)
     past_rrs = [r for r in every if r.rrs * den >= num]
-    kept = [r for r in past_rrs if view_bound(ult, r) * den >= num]
+    past_iip = [without_items(ult, r, dead) for r in past_rrs if r.item not in dead]
+    kept = [r for r in past_iip if view_bound(ult, r) * den >= num]
     assert gated == kept
     assert pruned == len(every) - len(past_rrs)
     assert srt.rrs_prunes - rrs_before == pruned
-    assert srt.view_prunes - view_before == len(past_rrs) - len(kept)
+    assert srt.iip_prunes - iip_before == len(past_rrs) - len(past_iip)
+    assert srt.view_prunes - view_before == len(past_iip) - len(kept)
     return gated
 
 
@@ -209,13 +236,20 @@ def test_gated_scan_matches_ungated(sample_db):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_gated_scan_matches_ungated_at_every_bound(seed):
-    # Thresholds sit exactly at each child's rrs and view bound and just
-    # past them, so a gate comparing the wrong way round fails here.
+    # Thresholds sit exactly at each child's rrs, view bound and share
+    # and just past them, so a gate comparing the wrong way round fails
+    # here.
     ult = build_ult(make_random_db(seed))
 
     def check(srt):
         children = scan_extensions(ult, srt)
-        for value in {v for row in children for v in (row.rrs, view_bound(ult, row))}:
+        parent = srt.rows[-1]
+        values = {
+            v
+            for row in children
+            for v in (row.rrs, view_bound(ult, row), share(ult, parent, row.item))
+        }
+        for value in values:
             for minutil in (Threshold(value, 1), Threshold(2 * value + 1, 2)):
                 check_gated_against_ungated(ult, srt, minutil)
         for row in children if len(srt) < 4 else ():
@@ -225,7 +259,9 @@ def test_gated_scan_matches_ungated_at_every_bound(seed):
 
     for item in ult.item_positions:
         srt = SequenceRecordTable()
-        srt.push_row(init_row(ult, item))
+        row = init_row(ult, item)
+        assert_bounds_stored(ult, [row])
+        srt.push_row(row)
         check(srt)
 
 
