@@ -179,9 +179,9 @@ _GEN_FLAGS = {
 def _cmd_gen(args) -> int:
     values = {dest: getattr(args, dest) for dest in _GEN_FLAGS}
     _echo_config({"command": "gen", **values, "out": args.out or "-"})
-    db = generate(GenParams(**{_GEN_FLAGS[dest]: value for dest, value in values.items()}))
+    params = GenParams(**{_GEN_FLAGS[dest]: value for dest, value in values.items()})
     with _out_stream(args.out) as stream:
-        write_native(db, stream)
+        write_native(generate(params), stream)
     return EXIT_OK
 
 

@@ -19,7 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .model import SequenceDatabase, build_database
+from .model import U64_MAX, SequenceDatabase, build_database
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,8 +42,8 @@ class GenParams:
             raise ValueError("need 1 <= avg_length <= max_length")
         if 1.0 - 1.0 / self.avg_length == 1.0:
             raise ValueError("avg_length is too large: 1 - 1/avg_length rounds to 1")
-        if not 0 <= self.utility_min <= self.utility_max:
-            raise ValueError("need 0 <= utility_min <= utility_max")
+        if not 0 <= self.utility_min <= self.utility_max <= U64_MAX:
+            raise ValueError(f"need 0 <= utility_min <= utility_max <= {U64_MAX}")
         if not self.item_skew >= 0:  # false for NaN too
             raise ValueError("item_skew must be non-negative")
 

@@ -184,9 +184,9 @@ def rule_produce(srt: SequenceRecordTable, cfg: MiningConfig, sink: RuleSink) ->
     returns the count.
 
     Gate: the path utility must reach minutil and the last row's support
-    must reach minconf against the second-to-last row, the easiest
-    antecedent. All emitted rules share the path's utility and support;
-    only the antecedent support varies with the cut.
+    (its occurrence count) must reach minconf against the second-to-last
+    row, the easiest antecedent. All emitted rules share the path's utility
+    and support; only the antecedent support varies with the cut.
 
     No side is copied per rule: the path's items are the table's last
     prefix, the antecedent of the cut after j items is the table's
@@ -201,10 +201,11 @@ def rule_produce(srt: SequenceRecordTable, cfg: MiningConfig, sink: RuleSink) ->
     last = rows[-1]
     if not compare_at_least(last.until_utility, cfg.minutil):
         return 0
-    if not confidence_at_least(last.support, rows[-2].support, cfg.minconf):
+    sup = len(last.occurrences)
+    if not confidence_at_least(sup, len(rows[-2].occurrences), cfg.minconf):
         return 0
-    supports = [row.support for row in rows]
-    k = find_cut_start(supports, last.support, cfg.minconf)
+    supports = [len(row.occurrences) for row in rows]
+    k = find_cut_start(supports, sup, cfg.minconf)
     prefixes = srt.prefixes
     items = prefixes[-1]
     consequents = srt.consequents
@@ -215,7 +216,7 @@ def rule_produce(srt: SequenceRecordTable, cfg: MiningConfig, sink: RuleSink) ->
                 prefixes[j - 1],
                 consequents.setdefault(consequent, consequent),
                 last.until_utility,
-                last.support,
+                sup,
                 supports[j - 1],
             )
         )

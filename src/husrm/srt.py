@@ -1,12 +1,11 @@
 """Sequence record table: the per-path projection state of the search.
 
 Row i describes the length-i item prefix of the current depth-first
-path: every position where the prefix ends in each sequence together
-with the best utility over prefix embeddings ending exactly there, the
-prefix's support, its exact utility over the database (until_utility),
-and the utility bound (rrs) that justified creating the row. A single
-stored end position per sequence would lose embeddings, so rows keep all
-of them.
+path: per sequence holding it (the row's support is their count), the
+prefix's end positions that a scan needs (below), each with the best
+utility over prefix embeddings ending exactly there; its exact utility
+over the database (until_utility); and the bound (rrs) that justified
+creating the row.
 
 Extension scanning walks each occurrence's projected view: the positions
 after its earliest end whose item is still in the path's candidate set
@@ -17,9 +16,11 @@ drops at P (below), so no path item is ever in it. A running maximum
 over the best prefix utilities whose end positions lie strictly before
 the scan point gives, at each later position q, both the best
 extended-prefix utility (running + u(q)) and the rrs contribution
-(running + rru(q)). Scanning from the earliest end position loses no
-extension: any later position extends at least the embedding ending
-there.
+(running + rru(q)). That maximum is always reached at an end worth
+strictly more than every earlier one, so rows keep only those ends: a
+staircase rising in position and in utility, from the first end to the
+sequence's best. Scanning from the earliest end loses no extension: any
+later position extends at least the embedding ending there.
 
 Each occurrence also stores its view-bound term: its best entry
 utility plus the utilities at its view positions. Any extension of the
@@ -73,15 +74,15 @@ class SeqOccurrences:
     """End positions of the current prefix within one sequence, its view,
     and its view-bound term.
 
-    entries is ascending in position; each entry pairs a 1-based end
-    position with the best prefix utility over embeddings ending exactly
-    there. view holds, ascending, the 0-based positions after the first
-    end whose item is in the path's candidate set: the only positions a
-    scan of this occurrence visits. It is a tuple, which the garbage
-    collector stops tracking, and empty views share the empty tuple.
-    bound is the best entry utility plus the utilities at the view's
-    positions: no extension of the prefix that can reach minutil is
-    worth more in this sequence.
+    entries pairs the first end and each later end worth strictly more
+    than every earlier one, as a 1-based position, with the best prefix
+    utility over embeddings ending exactly there; both rise. view holds,
+    ascending, the 0-based positions after the first end whose item is
+    in the path's candidate set: the only positions a scan of this
+    occurrence visits. It is a tuple, which the garbage collector stops
+    tracking, and empty views share the empty tuple. bound is the best
+    (last) entry utility plus the utilities at the view's positions: no
+    extension of the prefix that can reach minutil is worth more here.
     """
 
     sid: int
@@ -92,9 +93,10 @@ class SeqOccurrences:
 
 @dataclass(slots=True)
 class SrtRow:
+    """A path row; the prefix's support is len(occurrences)."""
+
     item: int
     occurrences: list[SeqOccurrences]
-    support: int
     until_utility: int
     rrs: int
 
@@ -168,7 +170,7 @@ class SequenceRecordTable:
         prefix = self.prefixes[-1] if self.prefixes else ()
         if row.item in prefix:
             raise InvariantError("duplicate item pushed onto path")
-        if self.rows and row.support > self.rows[-1].support:
+        if self.rows and len(row.occurrences) > len(self.rows[-1].occurrences):
             raise InvariantError("support monotonicity violated")
         self.rows.append(row)
         self.prefixes.append(prefix + (row.item,))
@@ -183,10 +185,10 @@ class SequenceRecordTable:
 def init_row(ult: UtilityTable, item: int) -> SrtRow:
     """Length-1 row: every occurrence of the item, from the table's item index.
 
-    Each occurrence's best prefix utility is its own utility and its view
-    keeps the positions after the first occurrence whose item is a
-    successor of this one (none, for an item the miner never grows), and
-    its bound adds the utilities at those positions to its best utility.
+    Each end's best prefix utility is its own, kept where it beats every
+    earlier end's; the view keeps the positions after the first end whose
+    item is a successor of this one (none, for an item the miner never
+    grows), and the bound adds their utilities to the best.
     The row's rrs sums, over the item's sequences, its largest stored rru
     there. An item the table does not hold raises KeyError.
     """
@@ -201,13 +203,13 @@ def init_row(ult: UtilityTable, item: int) -> SrtRow:
         utils_s = seq_utils[sid]
         rrus_s = seq_rrus[sid]
         entries = []
-        best = 0
+        best = -1
         top_rru = 0
         for k in positions:
             u = utils_s[k]
-            entries.append((k + 1, u))
             if u > best:
                 best = u
+                entries.append((k + 1, u))
             r = rrus_s[k]
             if r > top_rru:
                 top_rru = r
@@ -217,7 +219,7 @@ def init_row(ult: UtilityTable, item: int) -> SrtRow:
         view = tuple([k for k in range(positions[0] + 1, len(items_s)) if items_s[k] in succ])
         occ_bound = best + sum(map(utils_s.__getitem__, view))
         occurrences.append(SeqOccurrences(sid, entries, view, occ_bound))
-    return SrtRow(item, occurrences, len(occurrences), until, rrs)
+    return SrtRow(item, occurrences, until, rrs)
 
 
 def scan_extensions_gated(
@@ -299,9 +301,7 @@ def scan_extensions_gated(
                 s_bound[it] = r
             if hi == n:
                 break
-            b = entries[ei][1]
-            if b > run:
-                run = b
+            run = entries[ei][1]
             lo = hi
             ei += 1
     scratch.seq_stamp = stamp
@@ -311,8 +311,9 @@ def scan_extensions_gated(
     # Phase two: gate on rrs and on the share, then rebuild occurrence
     # entries and views only for survivors, finding their sequences
     # through the item index, and gate again on the view bound. The walk
-    # over the parent's occurrences stops at the sup-th one found. Each
-    # occurrence's best new entry adds to until_utility and starts its
+    # over the parent's occurrences stops at the sup-th one found: all
+    # that hold the item after their first end hold it in their view. Each
+    # new staircase's last entry adds to until_utility and starts its
     # bound. A child's view leaves out the share-dead items, as do all
     # views filtered from it further down the path.
     out: list[SrtRow] = []
@@ -350,22 +351,19 @@ def scan_extensions_gated(
             if lo == len(pos_idx):
                 continue
             utils_s = seq_utils[sid]
-            run = -1
+            run = best = -1
             ei = 0
             m = len(entries)
-            best = 0
             ents_out: list[tuple[int, int]] = []
             for j in pos_idx[lo:]:
                 q = j + 1
                 while ei < m and entries[ei][0] < q:
-                    b = entries[ei][1]
-                    if b > run:
-                        run = b
+                    run = entries[ei][1]
                     ei += 1
                 v = run + utils_s[j]
-                ents_out.append((q, v))
                 if v > best:
                     best = v
+                    ents_out.append((q, v))
             until += best
             bound = best
             child: list[int] = []
@@ -383,7 +381,7 @@ def scan_extensions_gated(
         if total * den < num:
             view_pruned += 1
             continue
-        out.append(SrtRow(it, occ_rows, sup, until, rrs))
+        out.append(SrtRow(it, occ_rows, until, rrs))
     srt.rrs_prunes += pruned
     srt.iip_prunes += iip_pruned
     srt.view_prunes += view_pruned

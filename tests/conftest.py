@@ -73,6 +73,38 @@ def make_random_db(seed: int) -> SequenceDatabase:
     return build_database(rows)
 
 
+def prefix_ends(seq, prefix) -> list[tuple[int, int]]:
+    """Every end of prefix in seq, as (1-based position, best utility of
+    an embedding of prefix ending exactly there), ascending in position.
+
+    The DP is max_embedding_utility's: dp[j] is the best utility of the
+    first j prefix items embedded before the current position, so an end
+    at a position holding the last item is worth dp[m - 1] plus its
+    utility."""
+    m = len(prefix)
+    dp = [-1] * (m + 1)
+    dp[0] = 0
+    ends = []
+    for pos, (item, utility) in enumerate(zip(seq.items, seq.utils), start=1):
+        if item == prefix[-1] and dp[m - 1] >= 0:
+            ends.append((pos, dp[m - 1] + utility))
+        for j in range(m, 0, -1):
+            if prefix[j - 1] == item and dp[j - 1] >= 0 and dp[j - 1] + utility > dp[j]:
+                dp[j] = dp[j - 1] + utility
+    return ends
+
+
+def staircase(ends) -> list[tuple[int, int]]:
+    """The ends no earlier end matches or beats in utility: the first end
+    and each later one whose utility is strictly above every earlier
+    one's."""
+    kept = []
+    for pos, utility in ends:
+        if not kept or utility > kept[-1][1]:
+            kept.append((pos, utility))
+    return kept
+
+
 def occurrence_bound(ult, occ) -> int:
     """An occurrence's view-bound term, from its entries and view: the
     best entry utility plus the utilities at the view's positions."""

@@ -111,7 +111,7 @@ def test_criterion_2_micro_value_goldens():
     srt3.push_row(row_f)
     assert [r.until_utility for r in srt3.rows] == [3, 8, 14]
     assert [r.rrs for r in srt3.rows] == [18, 18, 14]
-    assert [r.support for r in srt3.rows] == [2, 2, 1]
+    assert [len(r.occurrences) for r in srt3.rows] == [2, 2, 1]
     print("acceptance criterion 2 (micro-value goldens): PASS")
 
 

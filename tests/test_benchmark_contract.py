@@ -68,6 +68,9 @@ def test_job_mines_the_same_rules(mode, sample_path, tmp_path):
         # The tracer reads these off the gated scan's (rows, rrs_dropped)
         # return value; a change of that shape would zero them.
         assert (layers["srt.scan.pruned"], layers["srt.scan.survivors"]) == (1, 15)
+        # The tracer counts positions from each occurrence's first stored
+        # end, entries[0][0], so dropping that end would change these.
+        assert (layers["srt.scan.positions"], layers["srt.scan.occurrences"]) == (33, 31)
 
 
 def test_job_measures_the_utility_table(sample_path, tmp_path):

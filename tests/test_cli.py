@@ -401,6 +401,29 @@ def test_gen_invalid_params_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        (["--util-min", "18446744073709551616", "--util-max", "18446744073709551616"], "utility_max"),
+        (["--util-max", "18446744073709551616"], "utility_max"),
+        (["--out", "{missing}"], "missing"),
+    ],
+    ids=["util-min-and-max", "util-max", "out"],
+)
+def test_gen_rejects_before_drawing(tmp_path, capsys, monkeypatch, extra, named):
+    def must_not_run(*args):
+        pytest.fail("generate ran before the parameters and --out were checked")
+
+    monkeypatch.setattr(cli, "generate", must_not_run)
+    missing = str(tmp_path / "missing" / "out.usdb")
+    argv = ["gen", "--sequences", "20000", "--alphabet", "10", "--avg-len", "4", "--max-len", "12"]
+    assert cli.main(argv + [arg.format(missing=missing) for arg in extra]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    lines = [line for line in out.err.splitlines() if not line.startswith("[config] ")]
+    assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0]
+
+
 def test_gen_then_stats_round_trip(tmp_path, capsys):
     path = tmp_path / "g.usdb"
     assert (

@@ -87,3 +87,13 @@ def test_parameter_validation():
     with pytest.raises(ValueError, match="avg_length"):
         GenParams(1, 4, 1e17, 10**20)
 
+
+
+def test_utility_max_is_capped_at_the_largest_stored_utility():
+    top = 2**64 - 1
+    db = generate(GenParams(3, 4, 2.0, 5, utility_min=top, utility_max=top, seed=1))
+    assert {ev.utility for seq in db.sequences for ev in seq.events} == {top}
+    with pytest.raises(ValueError, match="utility_max"):
+        GenParams(3, 4, 2.0, 5, utility_min=top, utility_max=top + 1)
+    with pytest.raises(ValueError, match="utility_max"):
+        GenParams(3, 4, 2.0, 5, utility_max=top + 1)

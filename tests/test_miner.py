@@ -121,7 +121,8 @@ def test_find_cut_start_matches_linear_scan(raw, num, den):
 def fake_table(items, supports, until, rrs=None):
     srt = SequenceRecordTable()
     for i, (item, sup) in enumerate(zip(items, supports)):
-        row = SrtRow(item, [SeqOccurrences(1, [(i + 1, 0)], (), 0)], sup, until, rrs or until)
+        occurrences = [SeqOccurrences(sid, [(i + 1, 0)], (), 0) for sid in range(1, sup + 1)]
+        row = SrtRow(item, occurrences, until, rrs or until)
         srt.push_row(row)
     return srt
 
@@ -146,7 +147,7 @@ def test_rule_produce_shares_prefixes_and_interns_consequents():
     assert all(fields[0] is srt.prefixes[j] for j, fields in enumerate(got))
     srt.pop_row()
     srt.pop_row()
-    srt.push_row(SrtRow(3, [SeqOccurrences(1, [(3, 0)], (), 0)], 4, 100, 100))
+    srt.push_row(SrtRow(3, [SeqOccurrences(sid, [(3, 0)], (), 0) for sid in range(1, 5)], 100, 100))
     again = []
     assert rule_produce(srt, cfg, again.append) == 2
     assert again[0][0] is got[0][0] and again[1][1] is got[2][1]

@@ -18,7 +18,14 @@ from husrm.srt import (
 )
 from husrm.ult import build_ult
 
-from conftest import make_random_db, occurrence_bound, share, view_bound
+from conftest import (
+    make_random_db,
+    occurrence_bound,
+    prefix_ends,
+    share,
+    staircase,
+    view_bound,
+)
 
 
 def rows_view(row):
@@ -37,7 +44,7 @@ def test_init_row_small_scope(small_db):
     a = small_db.items.id_of("a")
     row = init_row(ult, a)
     assert rows_view(row) == [(1, [(1, 1)]), (3, [(1, 2)])]
-    assert row.support == 2
+    assert len(row.occurrences) == 2
     assert row.until_utility == 3
     assert row.rrs == 18
 
@@ -46,7 +53,7 @@ def test_init_row_single_occurrence(small_db):
     ult = build_ult(small_db)
     f = small_db.items.id_of("f")
     row = init_row(ult, f)
-    assert row.support == 1
+    assert len(row.occurrences) == 1
     assert row.until_utility == 10
     assert rows_view(row) == [(3, [(3, 10)])]
 
@@ -54,7 +61,7 @@ def test_init_row_single_occurrence(small_db):
 def test_init_row_support_full_sample(sample_db):
     ult = build_ult(sample_db)
     b = sample_db.items.id_of("b")
-    assert init_row(ult, b).support == 3
+    assert len(init_row(ult, b).occurrences) == 3
 
 
 def test_init_row_unknown_item(small_db):
@@ -71,7 +78,7 @@ def test_scan_extensions_bound_single_item_prefix(sample_db):
     cands = scan_extensions(ult, srt)
     rrs, row = find_candidate(cands, sample_db.items.id_of("c"))
     assert rrs == 26
-    assert row.support == 3
+    assert len(row.occurrences) == 3
     assert row.until_utility == 13
 
 
@@ -104,17 +111,17 @@ def test_growth_rows_small_scope(small_db):
     rrs_c, row_c = find_candidate(scan_extensions(ult, srt), items.id_of("c"))
     assert rrs_c == 18
     assert row_c.until_utility == 8
-    assert row_c.support == 2
+    assert len(row_c.occurrences) == 2
     assert rows_view(row_c) == [(1, [(2, 3), (3, 4)]), (3, [(2, 4)])]
     srt.push_row(row_c)
 
     rrs_f, row_f = find_candidate(scan_extensions(ult, srt), items.id_of("f"))
     assert rrs_f == 14
     assert row_f.until_utility == 14
-    assert row_f.support == 1
+    assert len(row_f.occurrences) == 1
     assert rows_view(row_f) == [(3, [(3, 14)])]
     srt.push_row(row_f)
-    assert [r.support for r in srt.rows] == [2, 2, 1]
+    assert [len(r.occurrences) for r in srt.rows] == [2, 2, 1]
     assert [r.until_utility for r in srt.rows] == [3, 8, 14]
     assert [r.rrs for r in srt.rows] == [18, 18, 14]
 
@@ -136,11 +143,13 @@ def test_push_pop_stack_discipline(small_db):
 
 def test_push_rejects_duplicates_and_rising_support():
     srt = SequenceRecordTable()
-    srt.push_row(SrtRow(1, [SeqOccurrences(1, [(1, 5)], (), 5)], 1, 5, 5))
+    srt.push_row(SrtRow(1, [SeqOccurrences(1, [(1, 5)], (), 5)], 5, 5))
     with pytest.raises(InvariantError):
-        srt.push_row(SrtRow(1, [SeqOccurrences(1, [(2, 5)], (), 5)], 1, 5, 5))
+        srt.push_row(SrtRow(1, [SeqOccurrences(1, [(2, 5)], (), 5)], 5, 5))
     with pytest.raises(InvariantError):
-        srt.push_row(SrtRow(2, [SeqOccurrences(1, [(2, 5)], (), 5)], 2, 5, 5))
+        srt.push_row(
+            SrtRow(2, [SeqOccurrences(1, [(2, 5)], (), 5), SeqOccurrences(2, [(1, 5)], (), 5)], 5, 5)
+        )
     assert len(srt) == 1 and srt.prefixes == [(1,)]
 
 
@@ -156,12 +165,19 @@ from husrm.srt import SeqOccurrences, SequenceRecordTable, SrtRow
 if __debug__:
     raise SystemExit("expected to run under python -O")
 srt = SequenceRecordTable()
-srt.push_row(SrtRow(1, [SeqOccurrences(1, [(1, 5)], (), 5)], 1, 5, 5))
+srt.push_row(SrtRow(1, [SeqOccurrences(1, [(1, 5)], (), 5)], 5, 5))
 try:
-    srt.push_row(SrtRow(1, [SeqOccurrences(1, [(2, 5)], (), 5)], 1, 5, 5))
+    srt.push_row(SrtRow(1, [SeqOccurrences(1, [(2, 5)], (), 5)], 5, 5))
+except InvariantError:
+    pass
+else:
+    raise SystemExit("duplicate push went unchecked")
+wider = [SeqOccurrences(1, [(2, 5)], (), 5), SeqOccurrences(2, [(1, 5)], (), 5)]
+try:
+    srt.push_row(SrtRow(2, wider, 5, 5))
 except InvariantError:
     raise SystemExit(0)
-raise SystemExit("duplicate push went unchecked")
+raise SystemExit("rising support went unchecked")
 """
 
 
@@ -188,7 +204,7 @@ def without_items(ult, row, dead):
         kept = SeqOccurrences(occ.sid, occ.entries, view, 0)
         kept.bound = occurrence_bound(ult, kept)
         occurrences.append(kept)
-    return SrtRow(row.item, occurrences, row.support, row.until_utility, row.rrs)
+    return SrtRow(row.item, occurrences, row.until_utility, row.rrs)
 
 
 def assert_bounds_stored(ult, rows):
@@ -287,10 +303,25 @@ def walk_all_prefixes(db, max_len=6):
     return out
 
 
+def assert_entries_are_the_staircase(db, rows):
+    """Each occurrence of each (prefix, row) holds exactly the ends of the
+    prefix that no earlier end matches or beats, and the row has one
+    occurrence per sequence that holds the prefix."""
+    for prefix, row in rows:
+        by_sid = {seq.sid: prefix_ends(seq, prefix) for seq in db.sequences}
+        assert [occ.sid for occ in row.occurrences] == [s for s, e in by_sid.items() if e]
+        for occ in row.occurrences:
+            entries = occ.entries
+            assert entries == staircase(by_sid[occ.sid]), (prefix, occ.sid)
+            assert all(p < q and u < v for (p, u), (q, v) in zip(entries, entries[1:]))
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_rows_match_definitions_everywhere(seed):
     db = make_random_db(seed)
-    for prefix, row in walk_all_prefixes(db):
+    rows = walk_all_prefixes(db)
+    assert_entries_are_the_staircase(db, rows)
+    for prefix, row in rows:
         util = 0
         sup = 0
         for seq in db.sequences:
@@ -299,7 +330,7 @@ def test_rows_match_definitions_everywhere(seed):
                 util += u
                 sup += 1
         assert row.until_utility == util, prefix
-        assert row.support == sup == support_of(db, prefix)
+        assert len(row.occurrences) == sup == support_of(db, prefix)
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -330,3 +361,21 @@ def test_frontier_scanning_finds_exactly_the_extensions(seed):
         srt = SequenceRecordTable()
         srt.push_row(init_row(ult, item))
         check(srt, (item,))
+
+
+def test_entries_keep_only_the_rising_ends_on_the_sample(sample_db):
+    assert_entries_are_the_staircase(sample_db, walk_all_prefixes(sample_db))
+
+
+def test_entries_keep_the_earlier_end_on_a_tie():
+    # a ends at 1 (utility 0), 2 (0) and 5 (5): the tie at 2 is dropped.
+    # b ends at 3 (0), 4 (0) and 6 (2); a, b at 3 (0 + 0), 4 (0 + 0) and
+    # 6 (5 + 2). Each tie at 4 is dropped too.
+    db = build_database([[("a", 0), ("a", 0), ("b", 0), ("b", 0), ("a", 5), ("b", 2)]])
+    a, b = db.items.id_of("a"), db.items.id_of("b")
+    rows = dict(walk_all_prefixes(db))
+    assert rows[(a,)].occurrences[0].entries == [(1, 0), (5, 5)]
+    assert rows[(b,)].occurrences[0].entries == [(3, 0), (6, 2)]
+    assert rows[(a, b)].occurrences[0].entries == [(3, 0), (6, 7)]
+    assert rows[(a, b)].until_utility == 7
+    assert_entries_are_the_staircase(db, rows.items())
