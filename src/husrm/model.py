@@ -258,7 +258,11 @@ class Threshold:
             raise ValueError(f"not a decimal threshold: {text!r}")
         whole = m.group(1) or "0"
         frac = m.group(2) or ""
-        return cls(int(whole + frac), 10 ** len(frac))
+        try:
+            numerator = int(whole + frac)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ValueError(f"not a decimal threshold: {len(whole + frac)} digits") from None
+        return cls(numerator, 10 ** len(frac))
 
     def times(self, factor: int) -> "Threshold":
         """Scale by a non-negative integer (e.g. delta times total utility)."""

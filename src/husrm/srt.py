@@ -30,17 +30,18 @@ in the view, so no such extension is worth more in that sequence than
 the term. A row's view bound is the sum of its occurrences' terms.
 
 The scan is the miner's hot path, so it runs in two phases. Phase one
-walks the views once and aggregates support, rrs and share per
-candidate item into reusable stamped arrays, folding an item's
-per-sequence rrs term into the totals when the item turns up in a later
-sequence. An item's share is the sum of the terms of the occurrences
-whose view holds it: one add at its first sighting in each occurrence.
-Phase two rebuilds the occurrence entries only for candidates that
-survive the caller's utility gates, finding their sequences through the
-utility table's item index (item -> sid -> positions), sums the child's
-until_utility from its best entries, and builds each child view by
-filtering the parent's view, from the child's first end on, with the
-child's successor set.
+walks the views once and aggregates rrs and share per candidate item
+into reusable stamped arrays, folding an item's per-sequence rrs term
+into the totals when the item turns up in a later sequence. At an
+item's first sighting in each occurrence it records the occurrence as
+one of the item's holders (the child's support is their count) and adds
+the occurrence's term to the item's share. Phase two rebuilds the
+occurrence entries only for candidates that survive the caller's
+utility gates, from the holders' views alone: one walk of each view
+from the child's first end steps the child's staircase at the item's
+positions and keeps, as the child's view, the later positions whose
+item is in the child's successor set. It sums the child's until_utility
+from its best entries.
 
 Every scan gates each candidate three times, against minutil:
 - rrs, the paper's bound, on the phase-one aggregates;
@@ -106,17 +107,17 @@ class _ScanScratch:
 
     seq_stamp counts the occurrence sequences scanned so far; seq_ep[it]
     is the stamp of the last sequence in which item it was seen, and
-    seq_bound its rrs term within that sequence. share[it] sums the
-    bounds of the occurrences whose view holds it.
+    seq_bound its rrs term within that sequence. rrs[it] sums the terms
+    of the earlier sequences, and share[it] the bounds of the occurrences
+    whose view holds it. The item's holders themselves are per scan.
     """
 
-    __slots__ = ("size", "seq_stamp", "seq_ep", "sup", "rrs", "share", "seq_bound")
+    __slots__ = ("size", "seq_stamp", "seq_ep", "rrs", "share", "seq_bound")
 
     def __init__(self, size: int) -> None:
         self.size = size
         self.seq_stamp = 0
         self.seq_ep = [0] * size
-        self.sup = [0] * size
         self.rrs = [0] * size
         self.share = [0] * size
         self.seq_bound = [0] * size
@@ -238,13 +239,14 @@ def scan_extensions_gated(
     Each row's item and rrs name the extension and its bound. Items
     already on the path (rules cannot repeat items) and items the
     successor sets block are not in the views, so they are never found.
+    Each row is built from the current row's views alone; the table's
+    item index is never read.
     """
     last = srt.rows[-1]
     scratch = srt.scratch
     if scratch is None or scratch.size < ult.n_item_ids:
         scratch = srt.scratch = _ScanScratch(ult.n_item_ids)
     seq_ep = scratch.seq_ep
-    g_sup = scratch.sup
     g_rrs = scratch.rrs
     g_share = scratch.share
     s_bound = scratch.seq_bound
@@ -255,15 +257,15 @@ def scan_extensions_gated(
     # scan, one stamped between base and the current sequence's stamp
     # still has that earlier sequence's rrs term to fold in.
     base = stamp = scratch.seq_stamp
-    order: list[int] = []
+    holders: dict[int, list[SeqOccurrences]] = {}
 
     # Phase one: aggregate per candidate item over the views. Between two
     # consecutive end positions the running best is constant, so the walk
     # goes segment by segment; a 1-based entry position doubles as the
     # 0-based index of the first position after it. An item's first
-    # sighting in an occurrence adds the occurrence's bound to its share.
-    occurrences = last.occurrences
-    for occ in occurrences:
+    # sighting in an occurrence records the occurrence as a holder and
+    # adds its bound to the item's share.
+    for occ in last.occurrences:
         view = occ.view
         if not view:
             continue
@@ -289,12 +291,11 @@ def scan_extensions_gated(
                         s_bound[it] = r
                     continue
                 if seen > base:
-                    g_sup[it] += 1
+                    holders[it].append(occ)
                     g_rrs[it] += s_bound[it]
                     g_share[it] += occ_bound
                 else:
-                    order.append(it)
-                    g_sup[it] = 1
+                    holders[it] = [occ]
                     g_rrs[it] = 0
                     g_share[it] = occ_bound
                 seq_ep[it] = stamp
@@ -305,27 +306,28 @@ def scan_extensions_gated(
             lo = hi
             ei += 1
     scratch.seq_stamp = stamp
-    for it in order:
+    for it in holders:
         g_rrs[it] += s_bound[it]
 
     # Phase two: gate on rrs and on the share, then rebuild occurrence
-    # entries and views only for survivors, finding their sequences
-    # through the item index, and gate again on the view bound. The walk
-    # over the parent's occurrences stops at the sup-th one found: all
-    # that hold the item after their first end hold it in their view. Each
-    # new staircase's last entry adds to until_utility and starts its
-    # bound. A child's view leaves out the share-dead items, as do all
-    # views filtered from it further down the path.
+    # entries and views only for survivors, from their holders' views
+    # alone, and gate again on the view bound. The item is in the path's
+    # candidate set, so a holder's view has each of its positions after
+    # the first end, and every position the child's view can keep: one
+    # walk from the item's first position steps the staircase at the
+    # item and keeps the positions whose item is in the child's successor
+    # set. Each new staircase's last entry adds to until_utility and
+    # starts its bound. A child's view leaves out the share-dead items,
+    # as do all views filtered from it further down the path.
     out: list[SrtRow] = []
     pruned = 0
     iip_pruned = 0
     view_pruned = 0
     num = minutil.numerator
     den = minutil.denominator
-    dead = {it for it in order if g_share[it] * den < num}
-    item_positions = ult.item_positions
+    dead = {it for it in holders if g_share[it] * den < num}
     successors = ult.successors
-    for it in order:
+    for it, parents in holders.items():
         rrs = g_rrs[it]
         if rrs * den < num:
             pruned += 1
@@ -333,51 +335,42 @@ def scan_extensions_gated(
         if it in dead:
             iip_pruned += 1
             continue
-        positions_by_sid = item_positions[it]
         succ = successors[it]
         if not succ.isdisjoint(dead):
             succ = succ - dead
-        sup = g_sup[it]
         until = 0
         total = 0
         occ_rows: list[SeqOccurrences] = []
-        for occ in occurrences:
+        for occ in parents:
             sid = occ.sid
-            pos_idx = positions_by_sid.get(sid)
-            if pos_idx is None:
-                continue
-            entries = occ.entries
-            lo = bisect_left(pos_idx, entries[0][0])
-            if lo == len(pos_idx):
-                continue
+            items_s = seq_items[sid]
             utils_s = seq_utils[sid]
+            entries = occ.entries
+            view = occ.view
             run = best = -1
             ei = 0
             m = len(entries)
             ents_out: list[tuple[int, int]] = []
-            for j in pos_idx[lo:]:
-                q = j + 1
-                while ei < m and entries[ei][0] < q:
-                    run = entries[ei][1]
-                    ei += 1
-                v = run + utils_s[j]
-                if v > best:
-                    best = v
-                    ents_out.append((q, v))
-            until += best
-            bound = best
             child: list[int] = []
-            if succ:
-                view = occ.view
-                items_s = seq_items[sid]
-                for k in view[bisect_left(view, pos_idx[lo] + 1) :]:
-                    if items_s[k] in succ:
-                        child.append(k)
-                        bound += utils_s[k]
+            bound = 0
+            for k in view[bisect_left(view, items_s.index(it, entries[0][0])) :]:
+                item = items_s[k]
+                if item == it:
+                    q = k + 1
+                    while ei < m and entries[ei][0] < q:
+                        run = entries[ei][1]
+                        ei += 1
+                    v = run + utils_s[k]
+                    if v > best:
+                        best = v
+                        ents_out.append((q, v))
+                elif item in succ:
+                    child.append(k)
+                    bound += utils_s[k]
+            until += best
+            bound += best
             occ_rows.append(SeqOccurrences(sid, ents_out, tuple(child), bound))
             total += bound
-            if len(occ_rows) == sup:
-                break
         if total * den < num:
             view_pruned += 1
             continue

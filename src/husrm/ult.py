@@ -14,10 +14,10 @@ runs for that term alone.
 item_positions[item] maps each sid containing the item to the item's
 0-based positions in that sequence, sids in database order. Its keys
 follow first appearance, which is the order the miner grows top-level
-items in. It seeds the first projection row of an item and lets a scan
-rematerialize occurrence details for the few extensions that survive
-gating without walking the sequence again; it iterates in (sid, pos)
-order.
+items in. It seeds the length-1 search row of an item, the successor
+sets and the split of top-level items over the miner's processes; all
+three iterate it in (sid, pos) order or take its sizes. No extension
+scan reads it: a child row is built from its parent's views alone.
 
 successors[x] is the EUCP successor set of item x at the minutil the
 table was built for (see bounds.successor_sets): the items that may

@@ -182,6 +182,14 @@ def test_non_ascii_threshold_digits_exit_2(sample_path, capsys, flags):
     assert "not a decimal threshold" in capsys.readouterr().err
 
 
+def test_threshold_past_the_int_string_limit_exits_2(sample_path, capsys):
+    assert cli.main(["mine", sample_path, "--minutil", "1" * 4301]) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: not a decimal threshold: 4301 digits"]
+    assert "set_int_max_str_digits" not in err
+
+
 def test_mine_parse_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.usdb"
     bad.write_text("a:1\nbroken\n", encoding="utf-8")

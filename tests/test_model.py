@@ -87,6 +87,16 @@ def test_threshold_parsing():
             Threshold.from_string(bad)
 
 
+def test_threshold_past_the_int_string_limit_is_not_a_decimal_threshold():
+    # CPython refuses int() on more digits than sys.get_int_max_str_digits()
+    # (4300 by default); the threshold's own error names the digit count.
+    with pytest.raises(ValueError, match=r"^not a decimal threshold: 4301 digits$"):
+        Threshold.from_string("1" * 4301)
+    with pytest.raises(ValueError, match=r"^not a decimal threshold: 4301 digits$"):
+        Threshold.from_string("0." + "5" * 4300)
+    assert Threshold.from_string("1" * 4300).denominator == 1
+
+
 def test_threshold_times():
     assert Threshold(1, 10).times(64) == Threshold(64, 10)
 

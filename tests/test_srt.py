@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from husrm.srt import (
 from husrm.ult import build_ult
 
 from conftest import (
+    SAMPLE_ROWS,
     make_random_db,
     occurrence_bound,
     prefix_ends,
@@ -281,9 +283,10 @@ def test_gated_scan_matches_ungated_at_every_bound(seed):
         check(srt)
 
 
-def walk_all_prefixes(db, max_len=6):
-    """Yield (prefix items, row) for every reachable path, ungated."""
-    ult = build_ult(db)
+def walk_all_prefixes(db, max_len=6, minutil=Threshold(0, 1)):
+    """Yield (prefix items, row) for every reachable path, ungated, on the
+    table built at minutil."""
+    ult = build_ult(db, minutil=minutil)
     out = []
 
     def grow(srt, prefix):
@@ -379,3 +382,63 @@ def test_entries_keep_the_earlier_end_on_a_tie():
     assert rows[(a, b)].occurrences[0].entries == [(3, 0), (6, 7)]
     assert rows[(a, b)].until_utility == 7
     assert_entries_are_the_staircase(db, rows.items())
+
+
+# The sample and the random corpus, each with its table built at minutil 0
+# and at a tenth of its total utility.
+CORPUS = [pytest.param(None, id="sample"), *range(25)]
+
+
+def corpus_db(seed):
+    return build_database(SAMPLE_ROWS) if seed is None else make_random_db(seed)
+
+
+def table_minutils(db):
+    return (Threshold(0, 1), Threshold(db.total_utility, 10))
+
+
+def path_table(rows, prefix):
+    """A fresh path table holding the rows of prefix and of its prefixes."""
+    srt = SequenceRecordTable()
+    for d in range(1, len(prefix) + 1):
+        srt.push_row(rows[prefix[:d]])
+    return srt
+
+
+@pytest.mark.parametrize("seed", CORPUS)
+def test_scans_need_no_item_index(seed):
+    # Past init_row, a scan derives every child from its parent's views.
+    # The gated scan runs at the higher threshold on both tables.
+    db = corpus_db(seed)
+    gate = table_minutils(db)[1]
+    for minutil in table_minutils(db):
+        ult = build_ult(db, minutil=minutil)
+        bare = dataclasses.replace(ult, item_positions={})
+        rows = dict(walk_all_prefixes(db, minutil=minutil))
+        for prefix in rows:
+            results = []
+            for table in (ult, bare):
+                srt = path_table(rows, prefix)
+                every = scan_extensions(table, srt)
+                gated = scan_extensions_gated(table, srt, gate)
+                counters = (srt.rrs_prunes, srt.iip_prunes, srt.view_prunes)
+                results.append((every, gated, counters))
+            assert results[0] == results[1], prefix
+
+
+@pytest.mark.parametrize("seed", CORPUS)
+def test_views_match_their_definition(seed):
+    # Each occurrence's view holds exactly the 0-based positions from the
+    # prefix's first end (its 1-based position) on whose item is in the
+    # path's candidate set: every path item's successor set, intersected.
+    db = corpus_db(seed)
+    seqs = {seq.sid: seq for seq in db.sequences}
+    for minutil in table_minutils(db):
+        ult = build_ult(db, minutil=minutil)
+        for prefix, row in walk_all_prefixes(db, minutil=minutil):
+            candidates = frozenset.intersection(*(ult.successors[p] for p in prefix))
+            for occ in row.occurrences:
+                items = seqs[occ.sid].items
+                first = prefix_ends(seqs[occ.sid], prefix)[0][0]
+                expected = tuple(k for k in range(first, len(items)) if items[k] in candidates)
+                assert occ.view == expected, (prefix, occ.sid)
