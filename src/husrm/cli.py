@@ -23,7 +23,7 @@ from .dataio import (
 )
 from .datagen import GenParams, generate
 from .miner import VARIANTS, MiningConfig, WorkerError, mine
-from .model import InvariantError, SequenceDatabase, Threshold
+from .model import InvariantError, SequenceDatabase, Threshold, decimal_digits
 from .oracle import OracleConfig, oracle_mine
 
 EXIT_OK = 0
@@ -91,6 +91,12 @@ def _load_and_echo(args, **own) -> tuple[SequenceDatabase, Threshold, Threshold]
     else:
         minutil = Threshold.from_string(args.minutil)
     minconf = Threshold.from_string(args.minconf)
+    # The echo below, and the stats' minutil lines, print both parts.
+    limit = sys.get_int_max_str_digits()
+    for part in (minutil.numerator, minutil.denominator):
+        digits = decimal_digits(part)
+        if limit and digits > limit:
+            raise ValueError(f"minutil too long: {digits} digits (at most {limit})")
     _echo_config(
         {
             "command": args.command,

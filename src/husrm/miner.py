@@ -38,9 +38,10 @@ below minutil bounds every path through the current one that contains
 it, so the scan also removes it from every view below that path.
 MiningConfig.variant names the benchmark variant: rscn disables the
 early item prune, rscp runs all three extension gates at minutil 0,
-where they drop nothing, rscr swaps the reduced suffix bound for the raw
-one. Every variant runs the same scan, and the successor sets are on in
-every variant; the rrs_prunes counter counts only the extensions they
+where they drop nothing, rscr swaps the per-position suffix column that
+rrs reads from reduced (rru) to raw (ru). Every variant runs the same
+scan, and the successor sets and the reduced view terms are on in every
+variant; the rrs_prunes counter counts only the extensions they
 let through that the rrs gate then drops, iip_prunes the ones the share
 drops after that, and view_prunes the ones the view bound drops last.
 

@@ -274,6 +274,15 @@ class Threshold:
         return f"{self.numerator}/{self.denominator}"
 
 
+def decimal_digits(n: int) -> int:
+    """Digits of n >= 0 in decimal, counted without str(), which refuses
+    past sys.get_int_max_str_digits()."""
+    digits = max(1, int((n.bit_length() - 1) * 0.30102999566398120))
+    while n >= 10**digits:
+        digits += 1
+    return digits
+
+
 def compare_at_least(value: int, threshold: Threshold) -> bool:
     """True iff value >= threshold, decided exactly by cross-multiplication."""
     return value * threshold.denominator >= threshold.numerator

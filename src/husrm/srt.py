@@ -23,11 +23,17 @@ sequence's best. Scanning from the earliest end loses no extension: any
 later position extends at least the embedding ending there.
 
 Each occurrence also stores its view-bound term: its best entry
-utility plus the utilities at its view positions. Any extension of the
-prefix that reaches minutil adds only candidate-set items, at distinct
-positions after the end where the prefix sits; those positions are all
-in the view, so no such extension is worth more in that sequence than
-the term. A row's view bound is the sum of its occurrences' terms.
+utility plus, for each distinct item at its view positions, that item's
+largest utility there (the reduced remaining utility: a rule never
+repeats an item). Any extension of the prefix that reaches minutil adds
+only distinct candidate-set items, at positions after the end where the
+prefix sits; those positions are all in the view, so no such extension
+is worth more in that sequence than the term. A row's view bound is the
+sum of its occurrences' terms. A child's term never exceeds its
+holder's: the child's best is at most the holder's best plus the
+child item's utility at one view position, and the child's view items
+are the holder's view items other than the child item, each at no more
+than its largest utility in the holder's view.
 
 The scan is the miner's hot path, so it runs in two phases. Phase one
 walks the views once and aggregates rrs and share per candidate item
@@ -40,8 +46,12 @@ occurrence entries only for candidates that survive the caller's
 utility gates, from the holders' views alone: one walk of each view
 from the child's first end steps the child's staircase at the item's
 positions and keeps, as the child's view, the later positions whose
-item is in the child's successor set. It sums the child's until_utility
-from its best entries.
+item is in the child's successor set, with each distinct item's largest
+utility for the child's term. It sums the child's until_utility from
+its best entries. The item's share is the sum of its holders' terms, so
+the child's terms so far plus the terms of the holders still to walk
+bound the child's view bound from above; the walk stops as soon as that
+falls below minutil.
 
 Every scan gates each candidate three times, against minutil:
 - rrs, the paper's bound, on the phase-one aggregates;
@@ -52,11 +62,13 @@ Every scan gates each candidate three times, against minutil:
   minutil is therefore dropped as a candidate, and also taken out of
   every kept child's candidate set; child views are filtered from the
   parent's, so it is gone from every view below the prefix;
-- the view bound, once the child's occurrences and view are rebuilt:
-  the sum of the child's terms. It is at least until_utility, so the
-  child's own rules are never lost.
-At minutil 0 no gate can drop a row or an item; scan_extensions scans
-there, and so does the rscp ablation.
+- the view bound, as the child's occurrences and view are rebuilt:
+  the sum of the child's terms, or the early stop's upper bound on it.
+  It is at least until_utility, so the child's own rules are never
+  lost.
+At minutil 0 no gate can drop a row or an item, and the early stop
+never fires; scan_extensions scans there, and so does the rscp
+ablation.
 
 One table holds the path the search is growing, and the miner reuses it
 from one top-level item to the next, so the table also keeps the
@@ -82,8 +94,9 @@ class SeqOccurrences:
     in the path's candidate set: the only positions a scan of this
     occurrence visits. It is a tuple, which the garbage collector stops
     tracking, and empty views share the empty tuple. bound is the best
-    (last) entry utility plus the utilities at the view's positions: no
-    extension of the prefix that can reach minutil is worth more here.
+    (last) entry utility plus, for each distinct item at the view's
+    positions, its largest utility there: no extension of the prefix
+    that can reach minutil is worth more here.
     """
 
     sid: int
@@ -105,22 +118,27 @@ class SrtRow:
 class _ScanScratch:
     """Reusable per-item buffers, stamped so they never need clearing.
 
-    seq_stamp counts the occurrence sequences scanned so far; seq_ep[it]
-    is the stamp of the last sequence in which item it was seen, and
-    seq_bound its rrs term within that sequence. rrs[it] sums the terms
-    of the earlier sequences, and share[it] the bounds of the occurrences
-    whose view holds it. The item's holders themselves are per scan.
+    stamp counts the view walks so far: phase one's, one per occurrence
+    sequence, and phase two's, one per holder. seq_ep[it] is the stamp of
+    the last phase-one sequence in which item it was seen, and seq_bound
+    its rrs term within that sequence. rrs[it] sums the terms of the
+    earlier sequences, and share[it] the bounds of the occurrences whose
+    view holds it. The item's holders themselves are per scan. top_ep[it]
+    is the stamp of the last phase-two walk that kept item it in a child
+    view, and top[it] its largest utility in that walk so far.
     """
 
-    __slots__ = ("size", "seq_stamp", "seq_ep", "rrs", "share", "seq_bound")
+    __slots__ = ("size", "stamp", "seq_ep", "rrs", "share", "seq_bound", "top_ep", "top")
 
     def __init__(self, size: int) -> None:
         self.size = size
-        self.seq_stamp = 0
+        self.stamp = 0
         self.seq_ep = [0] * size
         self.rrs = [0] * size
         self.share = [0] * size
         self.seq_bound = [0] * size
+        self.top_ep = [0] * size
+        self.top = [0] * size
 
 
 class SequenceRecordTable:
@@ -189,7 +207,8 @@ def init_row(ult: UtilityTable, item: int) -> SrtRow:
     Each end's best prefix utility is its own, kept where it beats every
     earlier end's; the view keeps the positions after the first end whose
     item is a successor of this one (none, for an item the miner never
-    grows), and the bound adds their utilities to the best.
+    grows), and the bound adds to the best each distinct view item's
+    largest utility there.
     The row's rrs sums, over the item's sequences, its largest stored rru
     there. An item the table does not hold raises KeyError.
     """
@@ -218,8 +237,13 @@ def init_row(ult: UtilityTable, item: int) -> SrtRow:
         rrs += top_rru
         items_s = seq_items[sid]
         view = tuple([k for k in range(positions[0] + 1, len(items_s)) if items_s[k] in succ])
-        occ_bound = best + sum(map(utils_s.__getitem__, view))
-        occurrences.append(SeqOccurrences(sid, entries, view, occ_bound))
+        top: dict[int, int] = {}
+        for k in view:
+            z = items_s[k]
+            u = utils_s[k]
+            if u > top.get(z, 0):
+                top[z] = u
+        occurrences.append(SeqOccurrences(sid, entries, view, best + sum(top.values())))
     return SrtRow(item, occurrences, until, rrs)
 
 
@@ -233,9 +257,9 @@ def scan_extensions_gated(
     rows were materialized; that count is also added to srt.rrs_prunes.
     Candidates past the rrs gate whose share falls below minutil are
     dropped next, counted in srt.iip_prunes, and every share-dead item
-    is left out of the kept rows' views. Materialized rows whose view
-    bound falls below minutil are dropped after, and counted in
-    srt.view_prunes.
+    is left out of the kept rows' views. Rows whose view bound falls
+    below minutil are dropped last, as soon as the rebuilt part of the
+    row shows it, and counted in srt.view_prunes.
     Each row's item and rrs name the extension and its bound. Items
     already on the path (rules cannot repeat items) and items the
     successor sets block are not in the views, so they are never found.
@@ -250,13 +274,15 @@ def scan_extensions_gated(
     g_rrs = scratch.rrs
     g_share = scratch.share
     s_bound = scratch.seq_bound
+    top_ep = scratch.top_ep
+    top = scratch.top
     seq_items = ult.seq_items
     seq_utils = ult.seq_utils
     seq_rrus = ult.seq_rrus
     # Stamps only grow: an item stamped at or below base is new to this
     # scan, one stamped between base and the current sequence's stamp
     # still has that earlier sequence's rrs term to fold in.
-    base = stamp = scratch.seq_stamp
+    base = stamp = scratch.stamp
     holders: dict[int, list[SeqOccurrences]] = {}
 
     # Phase one: aggregate per candidate item over the views. Between two
@@ -305,7 +331,6 @@ def scan_extensions_gated(
             run = entries[ei][1]
             lo = hi
             ei += 1
-    scratch.seq_stamp = stamp
     for it in holders:
         g_rrs[it] += s_bound[it]
 
@@ -316,9 +341,14 @@ def scan_extensions_gated(
     # the first end, and every position the child's view can keep: one
     # walk from the item's first position steps the staircase at the
     # item and keeps the positions whose item is in the child's successor
-    # set. Each new staircase's last entry adds to until_utility and
-    # starts its bound. A child's view leaves out the share-dead items,
-    # as do all views filtered from it further down the path.
+    # set, adding each kept item's largest utility to the child's term.
+    # Each new staircase's last entry adds to until_utility and to the
+    # term. A child's view leaves out the share-dead items, as do all
+    # views filtered from it further down the path. room is the item's
+    # share less minutil (both times den) less what the walked holders'
+    # terms exceed their children's: never below the child's view bound
+    # less minutil, and equal to it after the last holder. The walk
+    # stops, and the view bound drops the child, once room is negative.
     out: list[SrtRow] = []
     pruned = 0
     iip_pruned = 0
@@ -339,7 +369,7 @@ def scan_extensions_gated(
         if not succ.isdisjoint(dead):
             succ = succ - dead
         until = 0
-        total = 0
+        room = g_share[it] * den - num
         occ_rows: list[SeqOccurrences] = []
         for occ in parents:
             sid = occ.sid
@@ -353,6 +383,7 @@ def scan_extensions_gated(
             ents_out: list[tuple[int, int]] = []
             child: list[int] = []
             bound = 0
+            stamp += 1
             for k in view[bisect_left(view, items_s.index(it, entries[0][0])) :]:
                 item = items_s[k]
                 if item == it:
@@ -366,15 +397,24 @@ def scan_extensions_gated(
                         ents_out.append((q, v))
                 elif item in succ:
                     child.append(k)
-                    bound += utils_s[k]
+                    u = utils_s[k]
+                    if top_ep[item] != stamp:
+                        top_ep[item] = stamp
+                        top[item] = u
+                        bound += u
+                    elif u > top[item]:
+                        bound += u - top[item]
+                        top[item] = u
             until += best
             bound += best
             occ_rows.append(SeqOccurrences(sid, ents_out, tuple(child), bound))
-            total += bound
-        if total * den < num:
-            view_pruned += 1
-            continue
-        out.append(SrtRow(it, occ_rows, until, rrs))
+            room -= (occ.bound - bound) * den
+            if room < 0:
+                view_pruned += 1
+                break
+        else:
+            out.append(SrtRow(it, occ_rows, until, rrs))
+    scratch.stamp = stamp
     srt.rrs_prunes += pruned
     srt.iip_prunes += iip_pruned
     srt.view_prunes += view_pruned

@@ -107,8 +107,13 @@ def staircase(ends) -> list[tuple[int, int]]:
 
 def occurrence_bound(ult, occ) -> int:
     """An occurrence's view-bound term, from its entries and view: the
-    best entry utility plus the utilities at the view's positions."""
-    return max(u for _, u in occ.entries) + sum(ult.seq_utils[occ.sid][k] for k in occ.view)
+    best entry utility plus, for each distinct item at the view's
+    positions, its largest utility there."""
+    items, utils = ult.seq_items[occ.sid], ult.seq_utils[occ.sid]
+    top: dict[int, int] = {}
+    for k in occ.view:
+        top[items[k]] = max(top.get(items[k], 0), utils[k])
+    return max(u for _, u in occ.entries) + sum(top.values())
 
 
 def view_bound(ult, row) -> int:

@@ -190,6 +190,20 @@ def test_threshold_past_the_int_string_limit_exits_2(sample_path, capsys):
     assert "set_int_max_str_digits" not in err
 
 
+@pytest.mark.parametrize("command", ["mine", "bench"])
+def test_delta_scaled_past_the_int_string_limit_exits_2(tmp_path, capsys, command):
+    # 0.<4,299 nines> parses, but times the total utility 3,000,000 its
+    # numerator has 4,306 digits, too many to echo or write to the stats.
+    path = tmp_path / "big.usdb"
+    path.write_text("a:1000000 b:2000000\n", encoding="utf-8")
+    delta = "0." + "9" * 4299
+    assert cli.main([command, str(path), "--delta", delta, "--minconf", "0.5"]) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: minutil too long: 4306 digits (at most 4300)"]
+    assert "set_int_max_str_digits" not in err
+
+
 def test_mine_parse_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.usdb"
     bad.write_text("a:1\nbroken\n", encoding="utf-8")

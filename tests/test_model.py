@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from husrm.model import (
@@ -13,6 +13,7 @@ from husrm.model import (
     build_database,
     compare_at_least,
     confidence_at_least,
+    decimal_digits,
 )
 
 
@@ -95,6 +96,19 @@ def test_threshold_past_the_int_string_limit_is_not_a_decimal_threshold():
     with pytest.raises(ValueError, match=r"^not a decimal threshold: 4301 digits$"):
         Threshold.from_string("0." + "5" * 4300)
     assert Threshold.from_string("1" * 4300).denominator == 1
+
+
+@pytest.mark.parametrize("digits", [1, 2, 3, 9, 10, 300, 4300, 4301, 9000])
+def test_decimal_digits_at_each_power_of_ten(digits):
+    # 10**(d - 1) is the smallest d-digit number and 10**d - 1 the largest.
+    assert decimal_digits(10 ** (digits - 1)) == digits
+    assert decimal_digits(10**digits - 1) == digits
+
+
+@given(st.integers(min_value=0, max_value=10**400))
+@example(0)
+def test_decimal_digits_match_str(n):
+    assert decimal_digits(n) == len(str(n))
 
 
 def test_threshold_times():

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 import husrm
+from husrm import miner
 from husrm.model import InvariantError, Threshold, build_database
-from husrm.oracle import max_embedding_utility, support_of
+from husrm.oracle import OracleConfig, max_embedding_utility, oracle_mine, support_of
 from husrm.srt import (
     SeqOccurrences,
     SequenceRecordTable,
@@ -442,3 +443,74 @@ def test_views_match_their_definition(seed):
                 first = prefix_ends(seqs[occ.sid], prefix)[0][0]
                 expected = tuple(k for k in range(first, len(items)) if items[k] in candidates)
                 assert occ.view == expected, (prefix, occ.sid)
+
+
+# One sequence a:1 b:1 c:2 c:2 c:2 a:9. The path <a> keeps its ends 1
+# (utility 1) and 6 (9), and its view b c c c, so its term is 9 + 1 + 2:
+# c counts once, at its largest utility. The child <a, b> ends at 2 (2)
+# and its view is c c c, so its term is 2 + 2 = 4, where the raw sum of
+# the view would give 2 + 6 = 8. Its rrs is 1 + rru(b) = 1 + 1 + 2 + 9 =
+# 13: rru counts the later a, which can never extend the path.
+REPEATS = [[("a", 1), ("b", 1), ("c", 2), ("c", 2), ("c", 2), ("a", 9)]]
+
+
+def test_reduced_term_drops_a_child_the_raw_sum_keeps():
+    db = build_database(REPEATS)
+    a, b = db.items.id_of("a"), db.items.id_of("b")
+    minutil = Threshold(5, 1)
+    ult = build_ult(db, minutil=minutil)
+    srt = SequenceRecordTable()
+    srt.push_row(init_row(ult, a))
+    assert srt.rows[0].occurrences[0].bound == 12
+    (child,) = [row for row in scan_extensions(ult, srt) if row.item == b]
+    assert (child.rrs, child.occurrences[0].bound) == (13, 4)
+    srt.view_prunes = 0
+    rows, pruned = scan_extensions_gated(ult, srt, minutil)
+    # Both children of <a> pass rrs and their share (12); b's view bound
+    # is 4 and c's, with an empty view, is its utility 3.
+    assert rows == [] and pruned == 0
+    assert (srt.iip_prunes, srt.view_prunes) == (0, 2)
+
+
+@pytest.mark.parametrize("bins", [1, 2])
+def test_reduced_term_on_repeats_mines_the_oracle_rules(bins, monkeypatch):
+    monkeypatch.setattr(miner, "_usable_cpus", lambda: bins)
+    monkeypatch.setattr(miner, "PARALLEL_MIN_EVENTS", 0)
+    db = build_database(REPEATS)
+    for value in range(1, db.total_utility + 2):
+        minutil, minconf = Threshold(value, 1), Threshold(1, 2)
+        rules, _ = miner.mine(db, miner.MiningConfig(minutil, minconf))
+        expected, truncated = oracle_mine(db, OracleConfig(minutil, minconf, 3))
+        assert not truncated
+        assert set(rules) == set(expected), value
+    stats = miner.mine(db, miner.MiningConfig(Threshold(5, 1), minconf))[1]
+    # <a>'s children b and c fall to the view bound, so b's child c is
+    # never scanned.
+    assert (stats.candidates, stats.view_prunes, stats.iip_prunes) == (4, 2, 0)
+
+
+def best_distinct_extension(seq, prefix, view) -> int:
+    """The most a path extending prefix by distinct items at view
+    positions can be worth in seq: an end of prefix, then any set of view
+    positions after it holding distinct items. Brute force over every
+    set."""
+    best = -1
+    for end, utility in prefix_ends(seq, prefix):
+        later = [k for k in view if k >= end]
+        for mask in range(1 << len(later)):
+            picked = [later[j] for j in range(len(later)) if mask >> j & 1]
+            items = [seq.items[k] for k in picked]
+            if len(set(items)) == len(items):
+                best = max(best, utility + sum(seq.utils[k] for k in picked))
+    return best
+
+
+@pytest.mark.parametrize("seed", CORPUS)
+def test_terms_bound_every_extension_by_distinct_view_items(seed):
+    db = corpus_db(seed)
+    seqs = {seq.sid: seq for seq in db.sequences}
+    for prefix, row in walk_all_prefixes(db):
+        for occ in row.occurrences:
+            assert len(occ.view) <= 8
+            seq = seqs[occ.sid]
+            assert occ.bound >= best_distinct_extension(seq, prefix, occ.view), (prefix, occ.sid)
