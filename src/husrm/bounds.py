@@ -17,13 +17,17 @@ item pairs: eu(x, y) sums the per-sequence distinct-max utility over the
 sequences in which some x occurs before some y. A path's utility is at
 most eu(p, y) for every item p before y on it, so an item y with
 eu(p, y) < minutil for some path item p heads no subtree that emits a
-rule. It takes each sequence's term from the rru pass rather than
-computing it again.
+rule. It takes each sequence's term from the rru pass, as the bound of
+the sequence's root occurrence, rather than computing it again.
 """
 
 from itertools import accumulate, compress
+from typing import TYPE_CHECKING
 
 from .model import Sequence, SequenceDatabase, Threshold, compare_at_least
+
+if TYPE_CHECKING:
+    from .ult import SeqOccurrences
 
 
 def seu_per_item(db: SequenceDatabase) -> dict[int, int]:
@@ -108,29 +112,30 @@ def rru_values(items: tuple[int, ...], utils: tuple[int, ...]) -> tuple[list[int
 
 
 def successor_sets(
-    seq_items: dict[int, tuple[int, ...]],
-    terms: dict[int, int],
-    item_positions: dict[int, dict[int, list[int]]],
-    minutil: Threshold,
+    seq_items: dict[int, tuple[int, ...]], roots: "list[SeqOccurrences]", minutil: Threshold
 ) -> dict[int, frozenset[int]]:
     """EUCP successor table of the utility table: y in out[x] iff eu(x, y) >= minutil.
 
-    terms[sid] is the distinct-max utility of sequence sid, as
-    rru_values returns it. out[x] never holds x itself. At minutil 0 it
-    holds exactly the items that occur after some x in some sequence, so
-    it blocks nothing. The table is built one antecedent item at a time
-    from the item index (item -> sid -> positions), so only the
-    surviving pairs are ever held at once.
+    A root's bound is its sequence's distinct-max utility, as rru_values
+    returns it. out[x] never holds x itself. At minutil 0 it holds
+    exactly the items that occur after some x in some sequence, so it
+    blocks nothing. The roots are grouped by the distinct items of their
+    sequences first; the table is then built one antecedent item at a
+    time, so only the surviving pairs are ever held at once.
     """
     num, den = minutil.numerator, minutil.denominator
+    holding: dict[int, list[SeqOccurrences]] = {}
+    for root in roots:
+        for x in dict.fromkeys(seq_items[root.sid]):
+            holding.setdefault(x, []).append(root)
     out: dict[int, frozenset[int]] = {}
-    for x, positions_by_sid in item_positions.items():
+    for x, held in holding.items():
         eu: dict[int, int] = {}
         get = eu.get
-        for sid, positions in positions_by_sid.items():
-            term = terms[sid]
-            for y in set(seq_items[sid][positions[0] + 1 :]):
-                eu[y] = get(y, 0) + term
+        for root in held:
+            items = seq_items[root.sid]
+            for y in set(items[items.index(x) + 1 :]):
+                eu[y] = get(y, 0) + root.bound
         eu.pop(x, None)
         out[x] = frozenset([y for y, value in eu.items() if value * den >= num])
     return out

@@ -3,12 +3,13 @@ and confidence-guided cut emission.
 
 The pipeline is: optional early item pruning, one utility-table build
 (with the EUCP successor sets at minutil, so every scan walks only the
-projected views of the path), then a depth-first walk over item
-prefixes. Every path push emits all the rules that path can support in
-one pass: the path's support column is non-increasing, so a binary
-search finds the leftmost cut whose antecedent support clears the
-confidence bar, and every cut from there to the end shares the path
-utility computed once. No per-rule utility recomputation ever happens.
+projected views of the path), one path table over it (whose root finds
+every item's sequences), then a depth-first walk over item prefixes.
+Every path push emits all the rules that path can support in one pass:
+the path's support column is non-increasing, so a binary search finds
+the leftmost cut whose antecedent support clears the confidence bar, and
+every cut from there to the end shares the path utility computed once.
+No per-rule utility recomputation ever happens.
 
 Each top-level item is grown by one iterative loop that keeps a stack
 of child-row iterators beside the path table, so path depth is bounded
@@ -21,7 +22,7 @@ first-appearance order, each to the least-loaded bin. Every bin, the
 caller's included, writes its rules item by item as plain marshal
 fields to its own unnamed temporary file, and its counters last. The
 calling process grows bin 0 and a forked child grows each other bin,
-reading the table the fork shared copy-on-write. The caller then reads
+on the path table the fork shared copy-on-write, root included. The caller then reads
 every file back, builds each Rule once in first-appearance item order,
 and sums the counters, so the rules and stats equal a one-bin run's.
 Mining therefore needs a writable temporary directory, even in one bin.
@@ -45,9 +46,9 @@ variant; the rrs_prunes counter counts only the extensions they
 let through that the rrs gate then drops, iip_prunes the ones the share
 drops after that, and view_prunes the ones the view bound drops last.
 
-Each bin grows its paths on one SequenceRecordTable, which holds the
-search's counters: srt_growth counts candidates on it and the scan adds
-every gate's drops to it. The bin's counters record is that table's
+Each bin grows its paths on the SequenceRecordTable, which builds each
+top-level row from its root and holds the search's counters: srt_growth
+counts candidates on it and the scan adds every gate's drops to it. The bin's counters record is that table's
 four counters; mine sums the records into its MiningStats, the only one
 a mine builds.
 """
@@ -80,7 +81,7 @@ from .srt import (
     scan_extensions,
     scan_extensions_gated,
 )
-from .ult import UtilityTable, build_ult
+from .ult import build_ult
 
 # A rule as plain fields, in Rule's order: antecedent, consequent,
 # utility, support, antecedent_support. The search emits these; mine
@@ -224,17 +225,17 @@ def rule_produce(srt: SequenceRecordTable, cfg: MiningConfig, sink: RuleSink) ->
     return n - k
 
 
-def _extensions(ult: UtilityTable, srt: SequenceRecordTable, cfg: MiningConfig) -> list[SrtRow]:
+def _extensions(srt: SequenceRecordTable, cfg: MiningConfig) -> list[SrtRow]:
     """Child rows of the current path, gated on rrs, the share and the
     view bound at minutil, or at 0 under rscp; every gate's drops
     accumulate on srt."""
     if cfg.use_rrs_prune:
-        return scan_extensions_gated(ult, srt, cfg.minutil)[0]
-    return scan_extensions(ult, srt)
+        return scan_extensions_gated(srt.ult, srt, cfg.minutil)[0]
+    return scan_extensions(srt.ult, srt)
 
 
 def srt_growth(
-    ult: UtilityTable, srt: SequenceRecordTable, row: SrtRow, cfg: MiningConfig, sink: RuleSink
+    srt: SequenceRecordTable, row: SrtRow, cfg: MiningConfig, sink: RuleSink
 ) -> list[SrtRow]:
     """Push one extension row, count it as a candidate on srt, emit its
     rules, return its child rows.
@@ -244,7 +245,7 @@ def srt_growth(
     srt.push_row(row)
     srt.candidates += 1
     rule_produce(srt, cfg, sink)
-    return _extensions(ult, srt, cfg)
+    return _extensions(srt, cfg)
 
 
 # Records are length-prefixed so that _get reads each one with a single
@@ -265,7 +266,9 @@ def _get(src: IO[bytes]) -> Any:
     return marshal.loads(src.read(size))
 
 
-def _mine_bin(out: IO[bytes], ult: UtilityTable, items: list[int], cfg: MiningConfig) -> None:
+def _mine_bin(
+    out: IO[bytes], srt: SequenceRecordTable, items: list[int], cfg: MiningConfig
+) -> None:
     """Grow a bin's top-level items in turn on one path table, writing
     one record of rule fields per item to out, then the table's
     (candidates, rrs_prunes, view_prunes, iip_prunes) record.
@@ -276,20 +279,19 @@ def _mine_bin(out: IO[bytes], ult: UtilityTable, items: list[int], cfg: MiningCo
     The caller runs this for bin 0 and each worker for its own bin, on
     items that have successors (see _split).
     """
-    srt = SequenceRecordTable()
     for item in items:
         chunk: list[RuleFields] = []
         sink = chunk.append
-        srt.push_row(init_row(ult, item))
+        srt.push_row(init_row(srt, item))
         # pending[d] yields the not yet grown children of srt.rows[d].
-        pending = [iter(_extensions(ult, srt, cfg))]
+        pending = [iter(_extensions(srt, cfg))]
         while pending:
             row = next(pending[-1], None)
             if row is None:
                 pending.pop()
                 srt.pop_row()
             else:
-                pending.append(iter(srt_growth(ult, srt, row, cfg, sink)))
+                pending.append(iter(srt_growth(srt, row, cfg, sink)))
         _put(out, chunk)
         srt.consequents.clear()
     _put(out, (srt.candidates, srt.rrs_prunes, srt.view_prunes, srt.iip_prunes))
@@ -302,26 +304,26 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _split(ult: UtilityTable) -> dict[int, int]:
+def _split(srt: SequenceRecordTable) -> dict[int, int]:
     """The bin of each searched item (one with successors), in
     first-appearance order; bin 0 is the caller's.
 
-    Items go longest-first, by the number of sequences holding them with
-    ties in first-appearance order, each to the least-loaded bin (the
-    lowest-numbered on a tie). The split depends on the table and the
-    CPU count alone, so every run on one machine mines the same items in
-    the same process.
+    Items go longest-first, by the number of root holders (the sequences
+    holding them) with ties in first-appearance order, each to the
+    least-loaded bin (the lowest-numbered on a tie). The split depends on
+    the table and the CPU count alone, so every run on one machine mines
+    the same items in the same process.
     """
-    positions = ult.item_positions
-    bin_of = {item: 0 for item in positions if ult.successors[item]}
+    holders = srt.root
+    bin_of = {item: 0 for item in holders if srt.ult.successors[item]}
     n = min(_usable_cpus(), len(bin_of))
-    if n < 2 or threading.active_count() > 1 or len(ult) < PARALLEL_MIN_EVENTS:
+    if n < 2 or threading.active_count() > 1 or len(srt.ult) < PARALLEL_MIN_EVENTS:
         return bin_of
     loads = [0] * n
-    for item in sorted(bin_of, key=lambda item: len(positions[item]), reverse=True):
+    for item in sorted(bin_of, key=lambda item: len(holders[item]), reverse=True):
         b = loads.index(min(loads))
         bin_of[item] = b
-        loads[b] += len(positions[item])
+        loads[b] += len(holders[item])
     return bin_of
 
 
@@ -332,7 +334,7 @@ def _exit_when_orphaned(parent: int) -> NoReturn:
 
 
 def _run_worker(
-    out: IO[bytes], ult: UtilityTable, items: list[int], cfg: MiningConfig, parent: int
+    out: IO[bytes], srt: SequenceRecordTable, items: list[int], cfg: MiningConfig, parent: int
 ) -> NoReturn:
     """Body of a forked worker: run _mine_bin into out, then leave the process.
 
@@ -351,7 +353,7 @@ def _run_worker(
     code = 1
     try:
         try:
-            _mine_bin(out, ult, items, cfg)
+            _mine_bin(out, srt, items, cfg)
             code = 0
         except BaseException as exc:  # reported to the parent, which re-raises it
             out.seek(0)
@@ -390,7 +392,7 @@ def _kill_and_reap(pids: list[int]) -> None:
 
 
 def _mine_bins(
-    ult: UtilityTable, bin_of: dict[int, int], cfg: MiningConfig, stats: MiningStats
+    srt: SequenceRecordTable, bin_of: dict[int, int], cfg: MiningConfig, stats: MiningStats
 ) -> list[Rule]:
     """Mine bin 0 here and every other bin in a forked worker, each into
     its own temporary file; the rules in first-appearance item order,
@@ -413,9 +415,9 @@ def _mine_bins(
         for out, items in zip(outs[1:], bins[1:]):
             pid = os.fork()
             if pid == 0:
-                _run_worker(out, ult, items, cfg, parent)
+                _run_worker(out, srt, items, cfg, parent)
             running.append(pid)
-        _mine_bin(outs[0], ult, bins[0], cfg)
+        _mine_bin(outs[0], srt, bins[0], cfg)
         for out in outs[1:]:
             _, status = os.waitpid(running[0], 0)
             del running[0]
@@ -458,9 +460,9 @@ def mine(db: SequenceDatabase, cfg: MiningConfig) -> tuple[list[Rule], MiningSta
     stats.sequences = len(db.sequences)
     stats.distinct_items = len(db.distinct_items())
     work = prune_unpromising(db, cfg.minutil) if cfg.use_seu_prune else db
-    ult = build_ult(work, use_rru=cfg.use_rru, minutil=cfg.minutil)
-    stats.items_after_pruning = len(ult.item_positions)
-    rules = _mine_bins(ult, _split(ult), cfg, stats)
+    srt = SequenceRecordTable(build_ult(work, use_rru=cfg.use_rru, minutil=cfg.minutil))
+    stats.items_after_pruning = len(srt.root)
+    rules = _mine_bins(srt, _split(srt), cfg, stats)
     stats.rules = len(rules)
     stats.runtime_ms = int((time.perf_counter() - start) * 1000)
     return rules, stats

@@ -5,7 +5,10 @@ path: per sequence holding it (the row's support is their count), the
 prefix's end positions that a scan needs (below), each with the best
 utility over prefix embeddings ending exactly there; its exact utility
 over the database (until_utility); and the bound (rrs) that justified
-creating the row.
+creating the row. Below row 1 sits the root, the empty prefix, whose
+occurrences view whole sequences (see ult). The scan's phases (below)
+build every row from its parent's occurrences, top-level rows from the
+root's: phase one once per table, phase two once per top-level item.
 
 Extension scanning walks each occurrence's projected view: the positions
 after its earliest end whose item is still in the path's candidate set
@@ -67,42 +70,19 @@ Every scan gates each candidate three times, against minutil:
   It is at least until_utility, so the child's own rules are never
   lost.
 At minutil 0 no gate can drop a row or an item, and the early stop
-never fires; scan_extensions scans there, and so does the rscp
-ablation.
+never fires; scan_extensions scans there, and so do the rscp ablation
+and init_row.
 
-One table holds the path the search is growing, and the miner reuses it
-from one top-level item to the next, so the table also keeps the
-search's counters; the utility table it reads is immutable.
+One table holds the path the search is growing over one root, and the
+miner reuses it from one top-level item to the next, so the table also
+keeps the search's counters; the utility table it reads is immutable.
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass
 
 from .model import InvariantError, Threshold
-from .ult import UtilityTable
-
-
-@dataclass(slots=True)
-class SeqOccurrences:
-    """End positions of the current prefix within one sequence, its view,
-    and its view-bound term.
-
-    entries pairs the first end and each later end worth strictly more
-    than every earlier one, as a 1-based position, with the best prefix
-    utility over embeddings ending exactly there; both rise. view holds,
-    ascending, the 0-based positions after the first end whose item is
-    in the path's candidate set: the only positions a scan of this
-    occurrence visits. It is a tuple, which the garbage collector stops
-    tracking, and empty views share the empty tuple. bound is the best
-    (last) entry utility plus, for each distinct item at the view's
-    positions, its largest utility there: no extension of the prefix
-    that can reach minutil is worth more here.
-    """
-
-    sid: int
-    entries: list[tuple[int, int]]
-    view: tuple[int, ...]
-    bound: int
+from .ult import SeqOccurrences, UtilityTable
 
 
 @dataclass(slots=True)
@@ -128,10 +108,9 @@ class _ScanScratch:
     view, and top[it] its largest utility in that walk so far.
     """
 
-    __slots__ = ("size", "stamp", "seq_ep", "rrs", "share", "seq_bound", "top_ep", "top")
+    __slots__ = ("stamp", "seq_ep", "rrs", "share", "seq_bound", "top_ep", "top")
 
     def __init__(self, size: int) -> None:
-        self.size = size
         self.stamp = 0
         self.seq_ep = [0] * size
         self.rrs = [0] * size
@@ -142,7 +121,13 @@ class _ScanScratch:
 
 
 class SequenceRecordTable:
-    """Stack of rows for one depth-first path, and the search's counters.
+    """Stack of rows for one depth-first path over a utility table's
+    root, and the search's counters.
+
+    The root is not on the path: it has no item and no prefix. The table
+    runs phase one over ult.roots when it is built and keeps its result:
+    each item's holders in root, in first-appearance order, and the
+    item's rrs and share in root_rrs and root_share.
 
     prefixes[d] is the tuple of the path's first d + 1 items. Each push
     builds one from its parent's and each pop drops it, so a prefix
@@ -161,6 +146,10 @@ class SequenceRecordTable:
     """
 
     __slots__ = (
+        "ult",
+        "root",
+        "root_rrs",
+        "root_share",
         "rows",
         "prefixes",
         "consequents",
@@ -171,11 +160,14 @@ class SequenceRecordTable:
         "view_prunes",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, ult: UtilityTable) -> None:
+        self.ult = ult
         self.rows: list[SrtRow] = []
         self.prefixes: list[tuple[int, ...]] = []
         self.consequents: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self.scratch: _ScanScratch | None = None
+        self.scratch = scratch = _ScanScratch(ult.n_item_ids)
+        self.root = _aggregate(ult, scratch, ult.roots)
+        self.root_rrs, self.root_share = scratch.rrs[:], scratch.share[:]
         self.candidates = 0
         self.rrs_prunes = 0
         self.iip_prunes = 0
@@ -201,50 +193,19 @@ class SequenceRecordTable:
         return self.rows.pop()
 
 
-def init_row(ult: UtilityTable, item: int) -> SrtRow:
-    """Length-1 row: every occurrence of the item, from the table's item index.
+_ZERO = Threshold(0, 1)
 
-    Each end's best prefix utility is its own, kept where it beats every
-    earlier end's; the view keeps the positions after the first end whose
-    item is a successor of this one (none, for an item the miner never
-    grows), and the bound adds to the best each distinct view item's
-    largest utility there.
-    The row's rrs sums, over the item's sequences, its largest stored rru
-    there. An item the table does not hold raises KeyError.
+
+def init_row(srt: SequenceRecordTable, item: int) -> SrtRow:
+    """Length-1 row of item: phase two over its root holders at minutil 0.
+
+    A root's one entry is (0, 0), so the row's entries are the staircase
+    of the item's own utilities, and its rrs sums, over the item's
+    sequences, its largest rru there. An item the table does not hold
+    raises KeyError.
     """
-    seq_items = ult.seq_items
-    seq_utils = ult.seq_utils
-    seq_rrus = ult.seq_rrus
-    succ = ult.successors[item]
-    occurrences: list[SeqOccurrences] = []
-    until = 0
-    rrs = 0
-    for sid, positions in ult.item_positions[item].items():
-        utils_s = seq_utils[sid]
-        rrus_s = seq_rrus[sid]
-        entries = []
-        best = -1
-        top_rru = 0
-        for k in positions:
-            u = utils_s[k]
-            if u > best:
-                best = u
-                entries.append((k + 1, u))
-            r = rrus_s[k]
-            if r > top_rru:
-                top_rru = r
-        until += best
-        rrs += top_rru
-        items_s = seq_items[sid]
-        view = tuple([k for k in range(positions[0] + 1, len(items_s)) if items_s[k] in succ])
-        top: dict[int, int] = {}
-        for k in view:
-            z = items_s[k]
-            u = utils_s[k]
-            if u > top.get(z, 0):
-                top[z] = u
-        occurrences.append(SeqOccurrences(sid, entries, view, best + sum(top.values())))
-    return SrtRow(item, occurrences, until, rrs)
+    holders = {item: srt.root[item]}
+    return _materialize(srt.ult, srt, holders, srt.root_rrs, srt.root_share, _ZERO)[0][0]
 
 
 def scan_extensions_gated(
@@ -263,35 +224,44 @@ def scan_extensions_gated(
     Each row's item and rrs name the extension and its bound. Items
     already on the path (rules cannot repeat items) and items the
     successor sets block are not in the views, so they are never found.
-    Each row is built from the current row's views alone; the table's
-    item index is never read.
+    Each row is built from the current row's views alone.
     """
-    last = srt.rows[-1]
-    scratch = srt.scratch
-    if scratch is None or scratch.size < ult.n_item_ids:
-        scratch = srt.scratch = _ScanScratch(ult.n_item_ids)
+    holders = _aggregate(ult, srt.scratch, srt.rows[-1].occurrences)
+    return _materialize(ult, srt, holders, srt.scratch.rrs, srt.scratch.share, minutil)
+
+
+def scan_extensions(ult: UtilityTable, srt: SequenceRecordTable) -> list[SrtRow]:
+    """Every one-item extension of the current path in its candidate set:
+    scan_extensions_gated at minutil 0, where no gate drops a row or an
+    item."""
+    return scan_extensions_gated(ult, srt, _ZERO)[0]
+
+
+def _aggregate(
+    ult: UtilityTable, scratch: _ScanScratch, occurrences: list[SeqOccurrences]
+) -> dict[int, list[SeqOccurrences]]:
+    """Phase one: each candidate item's holders among the occurrences, in
+    first-encounter order; its rrs and share are left in scratch.rrs and
+    scratch.share.
+
+    Between two consecutive end positions the running best is constant,
+    so the walk goes segment by segment; a 1-based entry position doubles
+    as the 0-based index of the first position after it. An item's first
+    sighting in an occurrence records the occurrence as a holder and adds
+    its bound to the item's share.
+    """
     seq_ep = scratch.seq_ep
     g_rrs = scratch.rrs
     g_share = scratch.share
     s_bound = scratch.seq_bound
-    top_ep = scratch.top_ep
-    top = scratch.top
     seq_items = ult.seq_items
-    seq_utils = ult.seq_utils
     seq_rrus = ult.seq_rrus
     # Stamps only grow: an item stamped at or below base is new to this
     # scan, one stamped between base and the current sequence's stamp
     # still has that earlier sequence's rrs term to fold in.
     base = stamp = scratch.stamp
     holders: dict[int, list[SeqOccurrences]] = {}
-
-    # Phase one: aggregate per candidate item over the views. Between two
-    # consecutive end positions the running best is constant, so the walk
-    # goes segment by segment; a 1-based entry position doubles as the
-    # 0-based index of the first position after it. An item's first
-    # sighting in an occurrence records the occurrence as a holder and
-    # adds its bound to the item's share.
-    for occ in last.occurrences:
+    for occ in occurrences:
         view = occ.view
         if not view:
             continue
@@ -333,32 +303,49 @@ def scan_extensions_gated(
             ei += 1
     for it in holders:
         g_rrs[it] += s_bound[it]
+    scratch.stamp = stamp
+    return holders
 
-    # Phase two: gate on rrs and on the share, then rebuild occurrence
-    # entries and views only for survivors, from their holders' views
-    # alone, and gate again on the view bound. The item is in the path's
-    # candidate set, so a holder's view has each of its positions after
-    # the first end, and every position the child's view can keep: one
-    # walk from the item's first position steps the staircase at the
-    # item and keeps the positions whose item is in the child's successor
-    # set, adding each kept item's largest utility to the child's term.
-    # Each new staircase's last entry adds to until_utility and to the
-    # term. A child's view leaves out the share-dead items, as do all
-    # views filtered from it further down the path. room is the item's
-    # share less minutil (both times den) less what the walked holders'
-    # terms exceed their children's: never below the child's view bound
-    # less minutil, and equal to it after the last holder. The walk
-    # stops, and the view bound drops the child, once room is negative.
+
+def _materialize(
+    ult: UtilityTable,
+    srt: SequenceRecordTable,
+    holders: dict[int, list[SeqOccurrences]],
+    rrs_of: list[int],
+    share_of: list[int],
+    minutil: Threshold,
+) -> tuple[list[SrtRow], int]:
+    """Phase two: gate each holder item on its rrs and its share, then
+    rebuild the survivors' rows from their holders' views alone, gated
+    again on the view bound; every gate's drops are added to srt.
+
+    The item is in the path's candidate set, so a holder's view has each
+    of its positions after the first end, and every position the child's
+    view can keep: one walk from the item's first position steps the
+    staircase at the item and keeps the positions whose item is in the
+    child's successor set, adding each kept item's largest utility to
+    the child's term. Each new staircase's last entry adds to
+    until_utility and to the term. A child's view leaves out the
+    share-dead items, as do all views filtered from it further down the
+    path. room is the item's share less minutil (both times den) less
+    what the walked holders' terms exceed their children's: never below
+    the child's view bound less minutil, and equal to it after the last
+    holder. The walk stops, and the view bound drops the child, once
+    room is negative.
+    """
+    scratch = srt.scratch
+    top_ep = scratch.top_ep
+    top = scratch.top
+    stamp = scratch.stamp
+    seq_items = ult.seq_items
+    seq_utils = ult.seq_utils
     out: list[SrtRow] = []
-    pruned = 0
-    iip_pruned = 0
-    view_pruned = 0
-    num = minutil.numerator
-    den = minutil.denominator
-    dead = {it for it in holders if g_share[it] * den < num}
+    pruned = iip_pruned = view_pruned = 0
+    num, den = minutil.numerator, minutil.denominator
+    dead = {it for it in holders if share_of[it] * den < num}
     successors = ult.successors
     for it, parents in holders.items():
-        rrs = g_rrs[it]
+        rrs = rrs_of[it]
         if rrs * den < num:
             pruned += 1
             continue
@@ -369,7 +356,7 @@ def scan_extensions_gated(
         if not succ.isdisjoint(dead):
             succ = succ - dead
         until = 0
-        room = g_share[it] * den - num
+        room = share_of[it] * den - num
         occ_rows: list[SeqOccurrences] = []
         for occ in parents:
             sid = occ.sid
@@ -419,10 +406,3 @@ def scan_extensions_gated(
     srt.iip_prunes += iip_pruned
     srt.view_prunes += view_pruned
     return out, pruned
-
-
-def scan_extensions(ult: UtilityTable, srt: SequenceRecordTable) -> list[SrtRow]:
-    """Every one-item extension of the current path in its candidate set:
-    scan_extensions_gated at minutil 0, where no gate drops a row or an
-    item."""
-    return scan_extensions_gated(ult, srt, Threshold(0, 1))[0]

@@ -1,4 +1,4 @@
-"""The utility table: per-sequence columns plus one item-position index.
+"""The utility table: per-sequence columns and one root occurrence per sequence.
 
 Three per-sequence columns are keyed by sid. seq_items and seq_utils
 are the database sequence's own item and utility tuples, shared rather
@@ -6,27 +6,22 @@ than copied, so each event is stored once from parse to search.
 seq_rrus holds the utility bound used by extension scoring at every
 position (rru, or plain ru when the table is built in ru mode). A
 forward projection scan is a walk over one sequence's column slices and
-never touches the raw database again. The rru pass also yields each
-sequence's distinct-max utility; build_ult uses it once, for the
-successor sets, and does not store it. In ru mode the rru pass still
-runs for that term alone.
+never touches the raw database again.
 
-item_positions[item] maps each sid containing the item to the item's
-0-based positions in that sequence, sids in database order. Its keys
-follow first appearance, which is the order the miner grows top-level
-items in. It seeds the length-1 search row of an item, the successor
-sets and the split of top-level items over the miner's processes; all
-three iterate it in (sid, pos) order or take its sizes. No extension
-scan reads it: a child row is built from its parent's views alone.
+roots holds, in database order, each sequence's root occurrence, the
+occurrence of the empty prefix that the search grows from (see srt):
+its entries are [(0, 0)], one list shared by all roots; its view is
+every position, a range shared by the sequences of one length; its
+bound is the sequence's distinct-max utility, which the rru pass yields
+beside its column (in ru mode the pass runs for that term alone).
 
 successors[x] is the EUCP successor set of item x at the minutil the
 table was built for (see bounds.successor_sets): the items that may
 follow x on a path that can still emit a rule. Built at minutil 0 it
 blocks nothing.
 
-The table holds per-position facts only; per-item aggregates such as a
-length-1 row's bound are computed where the row is built. It is frozen:
-build_ult fills every column before constructing it.
+The table is frozen: build_ult fills every column before constructing
+it.
 """
 
 from dataclasses import dataclass
@@ -35,9 +30,32 @@ from .bounds import ru_values, rru_values, successor_sets
 from .model import SequenceDatabase, Threshold
 
 
+@dataclass(slots=True)
+class SeqOccurrences:
+    """End positions of the current prefix within one sequence, its view,
+    and its view-bound term.
+
+    entries pairs the first end and each later end worth strictly more
+    than every earlier one, as a 1-based position, with the best prefix
+    utility over embeddings ending exactly there; both rise. view holds,
+    ascending, the 0-based positions after the first end whose item is
+    in the path's candidate set: the only positions a scan of this
+    occurrence visits. Below the root it is a tuple, which the garbage
+    collector stops tracking, and empty views share the empty tuple.
+    bound is the best (last) entry utility plus, for each distinct item
+    at the view's positions, its largest utility there: no extension of
+    the prefix that can reach minutil is worth more here.
+    """
+
+    sid: int
+    entries: list[tuple[int, int]]
+    view: tuple[int, ...] | range
+    bound: int
+
+
 @dataclass(frozen=True, slots=True)
 class UtilityTable:
-    """Per-sequence columns, the item-position index and the successor sets.
+    """Per-sequence columns, the root occurrences and the successor sets.
 
     n_item_ids is the size of the item id space, which sizes the scan's
     per-item scratch arrays; len() is the number of events stored.
@@ -47,7 +65,7 @@ class UtilityTable:
     seq_items: dict[int, tuple[int, ...]]
     seq_utils: dict[int, tuple[int, ...]]
     seq_rrus: dict[int, tuple[int, ...]]
-    item_positions: dict[int, dict[int, list[int]]]
+    roots: list[SeqOccurrences]
     successors: dict[int, frozenset[int]]
 
     def __len__(self) -> int:
@@ -67,29 +85,23 @@ def build_ult(
     seq_items: dict[int, tuple[int, ...]] = {}
     seq_utils: dict[int, tuple[int, ...]] = {}
     seq_rrus: dict[int, tuple[int, ...]] = {}
-    terms: dict[int, int] = {}
-    item_positions: dict[int, dict[int, list[int]]] = {}
+    roots: list[SeqOccurrences] = []
+    entries = [(0, 0)]
+    views: dict[int, range] = {}
     for seq in db.sequences:
         sid = seq.sid
         items = seq.items
-        for k, item in enumerate(items):
-            by_sid = item_positions.get(item)
-            if by_sid is None:
-                by_sid = item_positions[item] = {}
-            positions = by_sid.get(sid)
-            if positions is None:
-                by_sid[sid] = [k]
-            else:
-                positions.append(k)
         seq_items[sid] = items
         seq_utils[sid] = seq.utils
-        rrus, terms[sid] = rru_values(items, seq.utils)
+        rrus, term = rru_values(items, seq.utils)
         seq_rrus[sid] = tuple(rrus if use_rru else ru_values(seq.utils))
+        view = views.setdefault(len(items), range(len(items)))
+        roots.append(SeqOccurrences(sid, entries, view, term))
     return UtilityTable(
         n_item_ids=len(db.items),
         seq_items=seq_items,
         seq_utils=seq_utils,
         seq_rrus=seq_rrus,
-        item_positions=item_positions,
-        successors=successor_sets(seq_items, terms, item_positions, minutil),
+        roots=roots,
+        successors=successor_sets(seq_items, roots, minutil),
     )

@@ -1,9 +1,13 @@
 import gc
 import random
+from functools import cache
 
 import pytest
 
+from husrm.datagen import GenParams, generate
 from husrm.model import Rule, SequenceDatabase, Threshold, build_database
+from husrm.srt import SeqOccurrences, SequenceRecordTable, SrtRow, init_row
+from husrm.ult import build_ult
 
 # Hand-authored demo database used across the suite. Expected values for
 # it (rule sets, bounds, projection rows) were derived by hand and by the
@@ -103,6 +107,62 @@ def staircase(ends) -> list[tuple[int, int]]:
         if not kept or utility > kept[-1][1]:
             kept.append((pos, utility))
     return kept
+
+
+def bare_table() -> SequenceRecordTable:
+    """A path table over an empty database, for rows built by hand."""
+    return SequenceRecordTable(build_ult(build_database([])))
+
+
+def top_table(ult, item) -> SequenceRecordTable:
+    """A path table over ult holding item's top-level row."""
+    srt = SequenceRecordTable(ult)
+    srt.push_row(init_row(srt, item))
+    return srt
+
+
+def reference_top_row(ult, item) -> SrtRow:
+    """The length-1 row of item, by definition: one occurrence per
+    sequence holding the item, whose entries are the staircase of the
+    item's own utilities at 1-based ends, whose view is the positions
+    after the item's first whose item is one of its successors, and whose
+    bound is the best entry plus each distinct view item's largest
+    utility there; until_utility sums the bests, and rrs sums each
+    sequence's largest stored rru at the item."""
+    occurrences = []
+    until = rrs = 0
+    for sid, items in ult.seq_items.items():
+        positions = [k for k, x in enumerate(items) if x == item]
+        if not positions:
+            continue
+        utils = ult.seq_utils[sid]
+        entries = staircase([(k + 1, utils[k]) for k in positions])
+        view = tuple(
+            k for k in range(positions[0] + 1, len(items)) if items[k] in ult.successors[item]
+        )
+        top: dict[int, int] = {}
+        for k in view:
+            top[items[k]] = max(top.get(items[k], 0), utils[k])
+        best = entries[-1][1]
+        occurrences.append(SeqOccurrences(sid, entries, view, best + sum(top.values())))
+        until += best
+        rrs += max(ult.seq_rrus[sid][k] for k in positions)
+    return SrtRow(item, occurrences, until, rrs)
+
+
+# The benchmark workloads' databases, as perfbench/workloads.py generates
+# them at generator seed 1 (a benchmark seed only relabels their items
+# and shuffles their sequences), with their delta and minconf.
+WORKLOADS = {
+    "search-sparse": (GenParams(450, 7312, 27.0, 213, 1, 10, 1.0, seed=1), "0.01", "0.6"),
+    "ingest-wide": (GenParams(30000, 1000, 6.0, 40, 1, 10, 1.0, seed=1), "0.02", "0.1"),
+    "rule-flood": (GenParams(400, 12, 12.0, 40, 1, 10, 1.0, seed=1), "0.006", "0.1"),
+}
+
+
+@cache
+def workload_db(name: str) -> SequenceDatabase:
+    return generate(WORKLOADS[name][0])
 
 
 def occurrence_bound(ult, occ) -> int:

@@ -78,8 +78,8 @@ def test_criterion_2_micro_value_goldens():
     assert rru_at(db, PositionRef(4, 1)) == 11
 
     ult = build_ult(db)
-    srt = SequenceRecordTable()
-    srt.push_row(init_row(ult, a))
+    srt = SequenceRecordTable(ult)
+    srt.push_row(init_row(srt, a))
     by_item = {row.item: row for row in scan_extensions(ult, srt)}
     assert by_item[c].rrs == 26
     srt.push_row(by_item[b])
@@ -99,8 +99,8 @@ def test_criterion_2_micro_value_goldens():
 
     small = build_database(SAMPLE_ROWS[:3])
     ult3 = build_ult(small)
-    srt3 = SequenceRecordTable()
-    srt3.push_row(init_row(ult3, small.items.id_of("a")))
+    srt3 = SequenceRecordTable(ult3)
+    srt3.push_row(init_row(srt3, small.items.id_of("a")))
     row_c = next(
         row for row in scan_extensions(ult3, srt3) if row.item == small.items.id_of("c")
     )
@@ -207,9 +207,9 @@ def test_criterion_5_bound_properties(corpus):
     # reaches every path.
     for db in [build_database(SAMPLE_ROWS)] + corpus[:150]:
         ult = build_ult(db)
-        for item in ult.item_positions:
-            srt = SequenceRecordTable()
-            row = init_row(ult, item)
+        for item in SequenceRecordTable(ult).root:
+            srt = SequenceRecordTable(ult)
+            row = init_row(srt, item)
             srt.push_row(row)
             best_ext, _ = max_descendant_utility(db, ult, srt, (item,))
             assert view_bound(ult, row) >= max(row.until_utility, best_ext)

@@ -10,6 +10,7 @@ traced count to repeat; exit 0 alone shows none of that. Nothing under
 perfbench/ is modified.
 """
 
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -21,7 +22,7 @@ import pytest
 from husrm.dataio import load_database
 from husrm.miner import MiningConfig, mine
 
-from conftest import SAMPLE_NATIVE, thr
+from conftest import SAMPLE_NATIVE, WORKLOADS, thr
 
 ROOT = Path(__file__).resolve().parent.parent
 JOB = ROOT / "perfbench" / "job.py"
@@ -71,6 +72,12 @@ def test_job_mines_the_same_rules(mode, sample_path, tmp_path):
         # The tracer counts positions from each occurrence's first stored
         # end, entries[0][0], so dropping that end would change these.
         assert (layers["srt.scan.positions"], layers["srt.scan.occurrences"]) == (33, 31)
+        # The tracer wraps init_row(x, item), one call per searched item,
+        # and counts each returned row's occurrences; the scans of the
+        # top-level rows are the depth-1 scans. Building the top-level
+        # rows from a root must not show up as scans or change the calls.
+        assert (layers["srt.init_row.calls"], layers["srt.init_row.occurrences"]) == (4, 12)
+        assert layers["srt.scan.d1.calls"] == 4
 
 
 def test_job_measures_the_utility_table(sample_path, tmp_path):
@@ -94,3 +101,17 @@ def test_traced_benchmark_run_is_correct(workload, tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert (result["correct"], result["failed"]) == (True, 0), proc.stdout
+
+
+def test_test_suite_workloads_are_the_benchmarks():
+    # The tests mine conftest.WORKLOADS as stand-ins for the benchmark's
+    # databases; they must keep the benchmark's shapes and thresholds.
+    path = JOB.parent / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert set(WORKLOADS) == set(workloads.WORKLOADS)
+    for name, (params, delta, minconf) in WORKLOADS.items():
+        bench = workloads.WORKLOADS[name]
+        assert params == workloads.gen_params(bench)
+        assert (delta, minconf) == (bench.delta, bench.minconf)

@@ -14,9 +14,18 @@ from husrm.miner import (
 )
 from husrm.model import Rule, Threshold, build_database, confidence_at_least
 from husrm.oracle import OracleConfig, oracle_mine
-from husrm.srt import SeqOccurrences, SequenceRecordTable, SrtRow
+from husrm.srt import SeqOccurrences, SrtRow
 
-from conftest import canon, deep_path_rows, make_random_db, thr
+from conftest import (
+    WORKLOADS,
+    bare_table,
+    canon,
+    deep_path_rows,
+    make_random_db,
+    thr,
+    top_table,
+    workload_db,
+)
 
 
 def mine_sample(sample_db, minconf="0.6", **cfg_kwargs):
@@ -54,14 +63,15 @@ def test_only_items_with_successors_get_a_row(db, delta, minconf, sample_db, mon
     db = sample_db if db == "sample" else generate(db)
     cfg = MiningConfig(thr(delta).times(db.total_utility), thr(minconf))
     ult = miner.build_ult(miner.prune_unpromising(db, cfg.minutil), minutil=cfg.minutil)
-    grown = [item for item in ult.item_positions if ult.successors[item]]
-    assert 0 < len(grown) < len(ult.item_positions)
+    holders = miner.SequenceRecordTable(ult).root
+    grown = [item for item in holders if ult.successors[item]]
+    assert 0 < len(grown) < len(holders)
     calls = []
     init_row = miner.init_row
 
-    def counting_init_row(ult, item):
+    def counting_init_row(srt, item):
         calls.append(item)
-        return init_row(ult, item)
+        return init_row(srt, item)
 
     monkeypatch.setattr(miner, "init_row", counting_init_row)
     monkeypatch.setattr(miner, "_usable_cpus", lambda: 1)
@@ -119,7 +129,7 @@ def test_find_cut_start_matches_linear_scan(raw, num, den):
 
 
 def fake_table(items, supports, until, rrs=None):
-    srt = SequenceRecordTable()
+    srt = bare_table()
     for i, (item, sup) in enumerate(zip(items, supports)):
         occurrences = [SeqOccurrences(sid, [(i + 1, 0)], (), 0) for sid in range(1, sup + 1)]
         row = SrtRow(item, occurrences, until, rrs or until)
@@ -172,14 +182,13 @@ def test_rule_produce_single_row_emits_nothing():
 
 def test_rule_produce_small_scope_examples(small_db):
     # path a, c emits a ==> c; extending by f kills the confidence gate
-    from husrm.srt import init_row, scan_extensions
+    from husrm.srt import scan_extensions
     from husrm.ult import build_ult
 
     ult = build_ult(small_db)
     items = small_db.items
     cfg = MiningConfig(Threshold(64, 10), Threshold(6, 10))
-    srt = SequenceRecordTable()
-    srt.push_row(init_row(ult, items.id_of("a")))
+    srt = top_table(ult, items.id_of("a"))
     row_c = next(r for r in scan_extensions(ult, srt) if r.item == items.id_of("c"))
     srt.push_row(row_c)
     got = []
@@ -270,3 +279,19 @@ def test_stats_counters_are_deterministic(sample_db):
     snap = lambda s: (s.candidates, s.rrs_prunes, s.rules)
     assert len({snap(s) for s in runs}) == 1
 
+
+@pytest.mark.parametrize("name, count", [("ingest-wide", 9), ("rule-flood", 82556)])
+def test_gates_drop_no_rule_at_workload_size(name, count):
+    # rscp runs every extension gate (rrs, the share, the view bound and
+    # its early stop) at minutil 0, where none drops a row, so the gates
+    # must cost no rule on the benchmark's own databases either. Both
+    # variants share the scan, the successor sets and the top-level rows
+    # built from the root, which this does not check.
+    _, delta, minconf = WORKLOADS[name]
+    db = workload_db(name)
+    minutil = thr(delta).times(db.total_utility)
+    gated, stats = mine(db, MiningConfig(minutil, thr(minconf)))
+    ungated, ungated_stats = mine(db, MiningConfig(minutil, thr(minconf), variant="rscp"))
+    assert len(gated) == len(ungated) == count
+    assert set(gated) == set(ungated)
+    assert ungated_stats.candidates > stats.candidates

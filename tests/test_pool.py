@@ -139,17 +139,18 @@ def split_table():
     """FAILING_DB's table at delta 0.03, where 31 of its 40 items have successors."""
     db = generate(FAILING_DB)
     minutil = thr("0.03").times(db.total_utility)
-    ult = miner.build_ult(db, minutil=minutil)
-    searched = [item for item in ult.item_positions if ult.successors[item]]
-    assert 3 <= len(searched) < len(ult.item_positions)
-    return ult, searched
+    srt = miner.SequenceRecordTable(miner.build_ult(db, minutil=minutil))
+    searched = [item for item in srt.root if srt.ult.successors[item]]
+    assert 3 <= len(searched) < len(srt.root)
+    return srt, searched
 
 
 def test_split_is_longest_first_and_keeps_first_appearance_order(force_bins):
-    ult, searched = split_table()
-    weight = {item: len(ult.item_positions[item]) for item in searched}
+    srt, searched = split_table()
+    seqs = srt.ult.seq_items.values()
+    weight = {item: sum(item in items for items in seqs) for item in searched}
     force_bins(3)
-    bin_of = miner._split(ult)
+    bin_of = miner._split(srt)
     # Exactly the items with successors, in first-appearance order, which
     # each bin's item list inherits.
     assert list(bin_of) == searched
@@ -158,21 +159,21 @@ def test_split_is_longest_first_and_keeps_first_appearance_order(force_bins):
     assert bin_of[heaviest] == 0
     loads = [sum(weight[item] for item, b in bin_of.items() if b == k) for k in range(3)]
     assert max(loads) - min(loads) <= max(weight.values())
-    assert list(miner._split(ult).items()) == list(bin_of.items())
+    assert list(miner._split(srt).items()) == list(bin_of.items())
 
 
 def test_split_keeps_one_bin_below_the_cut_off_or_on_one_cpu(force_bins, monkeypatch):
-    ult, searched = split_table()
+    srt, searched = split_table()
     whole = [(item, 0) for item in searched]
     force_bins(1)
-    assert list(miner._split(ult).items()) == whole
+    assert list(miner._split(srt).items()) == whole
     force_bins(2)
-    assert set(miner._split(ult).values()) == {0, 1}
-    monkeypatch.setattr(miner, "PARALLEL_MIN_EVENTS", len(ult) + 1)
-    assert list(miner._split(ult).items()) == whole
+    assert set(miner._split(srt).values()) == {0, 1}
+    monkeypatch.setattr(miner, "PARALLEL_MIN_EVENTS", len(srt.ult) + 1)
+    assert list(miner._split(srt).items()) == whole
     monkeypatch.setattr(miner, "PARALLEL_MIN_EVENTS", 0)
     monkeypatch.setattr(miner.threading, "active_count", lambda: 2)
-    assert list(miner._split(ult).items()) == whole
+    assert list(miner._split(srt).items()) == whole
 
 
 def test_one_searched_item_mines_without_a_fork(monkeypatch):
@@ -182,7 +183,7 @@ def test_one_searched_item_mines_without_a_fork(monkeypatch):
     cfg = MiningConfig(thr("0.1").times(db.total_utility), thr("0.1"))
     ult = miner.build_ult(miner.prune_unpromising(db, cfg.minutil), minutil=cfg.minutil)
     assert len(ult) >= miner.PARALLEL_MIN_EVENTS
-    assert sum(1 for item in ult.item_positions if ult.successors[item]) == 1
+    assert sum(1 for item in miner.SequenceRecordTable(ult).root if ult.successors[item]) == 1
     monkeypatch.setattr(miner, "_usable_cpus", lambda: 1)
     expected = mine(db, cfg)
     forks = []
@@ -204,14 +205,14 @@ def fail_in_bin(monkeypatch, db, cfg, force_bins, b, action):
     """Make init_row run action() on the first item of bin b (0: the caller's)."""
     force_bins(2)
     work = miner.prune_unpromising(db, cfg.minutil)
-    ult = miner.build_ult(work, minutil=cfg.minutil)
-    bad = next(item for item, bin_ in miner._split(ult).items() if bin_ == b)
+    srt = miner.SequenceRecordTable(miner.build_ult(work, minutil=cfg.minutil))
+    bad = next(item for item, bin_ in miner._split(srt).items() if bin_ == b)
     init_row = miner.init_row
 
-    def failing_init_row(ult, item):
+    def failing_init_row(srt, item):
         if item == bad:
             action()
-        return init_row(ult, item)
+        return init_row(srt, item)
 
     monkeypatch.setattr(miner, "init_row", failing_init_row)
 
@@ -322,7 +323,7 @@ miner.PARALLEL_MIN_EVENTS = 0
 parent = os.getpid()
 init_row = miner.init_row
 
-def init_row_then_wait(ult, item):
+def init_row_then_wait(srt, item):
     if os.getpid() == parent:
         while not os.path.exists(pid_file):
             time.sleep(0.01)
@@ -332,7 +333,7 @@ def init_row_then_wait(ult, item):
             f.write(str(os.getpid()))
         os.rename(pid_file + ".tmp", pid_file)
     time.sleep(item_s)
-    return init_row(ult, item)
+    return init_row(srt, item)
 
 miner.init_row = init_row_then_wait
 db = generate(GenParams(300, 40, 6.0, 20, seed=3))

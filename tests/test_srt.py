@@ -10,6 +10,7 @@ import husrm
 from husrm import miner
 from husrm.model import InvariantError, Threshold, build_database
 from husrm.oracle import OracleConfig, max_embedding_utility, oracle_mine, support_of
+from husrm.bounds import prune_unpromising
 from husrm.srt import (
     SeqOccurrences,
     SequenceRecordTable,
@@ -22,12 +23,18 @@ from husrm.ult import build_ult
 
 from conftest import (
     SAMPLE_ROWS,
+    WORKLOADS,
+    bare_table,
     make_random_db,
     occurrence_bound,
     prefix_ends,
+    reference_top_row,
     share,
     staircase,
+    thr,
+    top_table,
     view_bound,
+    workload_db,
 )
 
 
@@ -42,10 +49,14 @@ def find_candidate(rows, item):
     raise AssertionError(f"candidate {item} not found")
 
 
+def top_row(ult, item):
+    return top_table(ult, item).rows[0]
+
+
 def test_init_row_small_scope(small_db):
     ult = build_ult(small_db)
     a = small_db.items.id_of("a")
-    row = init_row(ult, a)
+    row = top_row(ult, a)
     assert rows_view(row) == [(1, [(1, 1)]), (3, [(1, 2)])]
     assert len(row.occurrences) == 2
     assert row.until_utility == 3
@@ -55,7 +66,7 @@ def test_init_row_small_scope(small_db):
 def test_init_row_single_occurrence(small_db):
     ult = build_ult(small_db)
     f = small_db.items.id_of("f")
-    row = init_row(ult, f)
+    row = top_row(ult, f)
     assert len(row.occurrences) == 1
     assert row.until_utility == 10
     assert rows_view(row) == [(3, [(3, 10)])]
@@ -64,20 +75,20 @@ def test_init_row_single_occurrence(small_db):
 def test_init_row_support_full_sample(sample_db):
     ult = build_ult(sample_db)
     b = sample_db.items.id_of("b")
-    assert len(init_row(ult, b).occurrences) == 3
+    assert len(top_row(ult, b).occurrences) == 3
 
 
 def test_init_row_unknown_item(small_db):
     ult = build_ult(small_db)
+    srt = SequenceRecordTable(ult)
     with pytest.raises(KeyError):
-        init_row(ult, 999)
+        init_row(srt, 999)
 
 
 def test_scan_extensions_bound_single_item_prefix(sample_db):
     # prefix <a> extended by c: per-sequence max of best-prefix + rru
     ult = build_ult(sample_db)
-    srt = SequenceRecordTable()
-    srt.push_row(init_row(ult, sample_db.items.id_of("a")))
+    srt = top_table(ult, sample_db.items.id_of("a"))
     cands = scan_extensions(ult, srt)
     rrs, row = find_candidate(cands, sample_db.items.id_of("c"))
     assert rrs == 26
@@ -87,8 +98,7 @@ def test_scan_extensions_bound_single_item_prefix(sample_db):
 
 def test_scan_extensions_bound_two_item_prefix(sample_db):
     ult = build_ult(sample_db)
-    srt = SequenceRecordTable()
-    srt.push_row(init_row(ult, sample_db.items.id_of("a")))
+    srt = top_table(ult, sample_db.items.id_of("a"))
     _, row_b = find_candidate(scan_extensions(ult, srt), sample_db.items.id_of("b"))
     srt.push_row(row_b)
     rrs, row = find_candidate(scan_extensions(ult, srt), sample_db.items.id_of("c"))
@@ -99,8 +109,7 @@ def test_scan_extensions_bound_two_item_prefix(sample_db):
 def test_scan_extensions_empty_at_sequence_ends():
     db = build_database([[("a", 1), ("b", 2)], [("c", 3), ("b", 4)]])
     ult = build_ult(db)
-    srt = SequenceRecordTable()
-    srt.push_row(init_row(ult, db.items.id_of("b")))
+    srt = top_table(ult, db.items.id_of("b"))
     assert scan_extensions(ult, srt) == []
 
 
@@ -108,8 +117,7 @@ def test_growth_rows_small_scope(small_db):
     # candidate path a, c, f keeps all end positions with best utilities
     ult = build_ult(small_db)
     items = small_db.items
-    srt = SequenceRecordTable()
-    srt.push_row(init_row(ult, items.id_of("a")))
+    srt = top_table(ult, items.id_of("a"))
 
     rrs_c, row_c = find_candidate(scan_extensions(ult, srt), items.id_of("c"))
     assert rrs_c == 18
@@ -132,8 +140,7 @@ def test_growth_rows_small_scope(small_db):
 def test_push_pop_stack_discipline(small_db):
     ult = build_ult(small_db)
     items = small_db.items
-    srt = SequenceRecordTable()
-    srt.push_row(init_row(ult, items.id_of("a")))
+    srt = top_table(ult, items.id_of("a"))
     before = list(srt.rows)
     _, row_c = find_candidate(scan_extensions(ult, srt), items.id_of("c"))
     srt.push_row(row_c)
@@ -145,7 +152,7 @@ def test_push_pop_stack_discipline(small_db):
 
 
 def test_push_rejects_duplicates_and_rising_support():
-    srt = SequenceRecordTable()
+    srt = bare_table()
     srt.push_row(SrtRow(1, [SeqOccurrences(1, [(1, 5)], (), 5)], 5, 5))
     with pytest.raises(InvariantError):
         srt.push_row(SrtRow(1, [SeqOccurrences(1, [(2, 5)], (), 5)], 5, 5))
@@ -158,16 +165,17 @@ def test_push_rejects_duplicates_and_rising_support():
 
 def test_pop_empty_table_is_a_bug():
     with pytest.raises(InvariantError):
-        SequenceRecordTable().pop_row()
+        bare_table().pop_row()
 
 
 DUPLICATE_PUSH = """
-from husrm.model import InvariantError
+from husrm.model import InvariantError, build_database
 from husrm.srt import SeqOccurrences, SequenceRecordTable, SrtRow
+from husrm.ult import build_ult
 
 if __debug__:
     raise SystemExit("expected to run under python -O")
-srt = SequenceRecordTable()
+srt = SequenceRecordTable(build_ult(build_database([])))
 srt.push_row(SrtRow(1, [SeqOccurrences(1, [(1, 5)], (), 5)], 5, 5))
 try:
     srt.push_row(SrtRow(1, [SeqOccurrences(1, [(2, 5)], (), 5)], 5, 5))
@@ -243,8 +251,7 @@ def check_gated_against_ungated(ult, srt, minutil):
 
 def test_gated_scan_matches_ungated(sample_db):
     ult = build_ult(sample_db)
-    srt = SequenceRecordTable()
-    srt.push_row(init_row(ult, sample_db.items.id_of("b")))
+    srt = top_table(ult, sample_db.items.id_of("b"))
     kept = check_gated_against_ungated(ult, srt, Threshold(14, 1))
     # Children of b as (rrs, view bound): c (33, 27) passes both gates,
     # a (9, 9) falls to rrs, and e (19, 13) passes rrs but its view is
@@ -276,9 +283,9 @@ def test_gated_scan_matches_ungated_at_every_bound(seed):
             check(srt)
             srt.pop_row()
 
-    for item in ult.item_positions:
-        srt = SequenceRecordTable()
-        row = init_row(ult, item)
+    for item in SequenceRecordTable(ult).root:
+        srt = SequenceRecordTable(ult)
+        row = init_row(srt, item)
         assert_bounds_stored(ult, [row])
         srt.push_row(row)
         check(srt)
@@ -298,9 +305,9 @@ def walk_all_prefixes(db, max_len=6, minutil=Threshold(0, 1)):
                 grow(srt, prefix + (row.item,))
             srt.pop_row()
 
-    for item in ult.item_positions:
-        srt = SequenceRecordTable()
-        row = init_row(ult, item)
+    for item in SequenceRecordTable(ult).root:
+        srt = SequenceRecordTable(ult)
+        row = init_row(srt, item)
         srt.push_row(row)
         out.append(((item,), row))
         grow(srt, (item,))
@@ -361,9 +368,9 @@ def test_frontier_scanning_finds_exactly_the_extensions(seed):
                 check(srt, prefix + (row.item,))
             srt.pop_row()
 
-    for item in ult.item_positions:
-        srt = SequenceRecordTable()
-        srt.push_row(init_row(ult, item))
+    for item in SequenceRecordTable(ult).root:
+        srt = SequenceRecordTable(ult)
+        srt.push_row(init_row(srt, item))
         check(srt, (item,))
 
 
@@ -398,28 +405,59 @@ def table_minutils(db):
     return (Threshold(0, 1), Threshold(db.total_utility, 10))
 
 
-def path_table(rows, prefix):
-    """A fresh path table holding the rows of prefix and of its prefixes."""
-    srt = SequenceRecordTable()
+def path_table(ult, rows, prefix):
+    """A fresh path table over ult holding the rows of prefix and of its
+    prefixes."""
+    srt = SequenceRecordTable(ult)
     for d in range(1, len(prefix) + 1):
         srt.push_row(rows[prefix[:d]])
     return srt
 
 
+@pytest.mark.parametrize("use_rru", [True, False], ids=["rru", "ru"])
+@pytest.mark.parametrize(
+    "source", [pytest.param(None, id="sample"), *range(200), *WORKLOADS]
+)
+def test_top_level_rows_match_their_definition(source, use_rru):
+    # Every item's top-level row, built by phase two over the root, equals
+    # the row built by definition in every field. The sample and the
+    # random corpus are checked on their tables at minutil 0 and at a
+    # tenth of their total, each workload on its table as mine builds it.
+    if source in WORKLOADS:
+        db = workload_db(source)
+        minutil = thr(WORKLOADS[source][1]).times(db.total_utility)
+        tables = [(prune_unpromising(db, minutil), minutil)]
+    else:
+        db = corpus_db(source)
+        tables = [(db, minutil) for minutil in table_minutils(db)]
+    for work, minutil in tables:
+        ult = build_ult(work, use_rru=use_rru, minutil=minutil)
+        srt = SequenceRecordTable(ult)
+        assert list(srt.root) == work.distinct_items()
+        for item in srt.root:
+            assert init_row(srt, item) == reference_top_row(ult, item), item
+
+
 @pytest.mark.parametrize("seed", CORPUS)
 def test_scans_need_no_item_index(seed):
-    # Past init_row, a scan derives every child from its parent's views.
-    # The gated scan runs at the higher threshold on both tables.
+    # The table has no item index, and past init_row a scan derives every
+    # child from its parent's views: it reads neither the table's roots
+    # nor the path table's root. The gated scan runs at the higher
+    # threshold on both tables.
     db = corpus_db(seed)
     gate = table_minutils(db)[1]
     for minutil in table_minutils(db):
         ult = build_ult(db, minutil=minutil)
-        bare = dataclasses.replace(ult, item_positions={})
+        assert not hasattr(ult, "item_positions")
+        bare = dataclasses.replace(ult, roots=[])
         rows = dict(walk_all_prefixes(db, minutil=minutil))
         for prefix in rows:
             results = []
             for table in (ult, bare):
-                srt = path_table(rows, prefix)
+                srt = path_table(ult, rows, prefix)
+                if table is bare:
+                    srt.ult = bare
+                    srt.root = srt.root_rrs = srt.root_share = None
                 every = scan_extensions(table, srt)
                 gated = scan_extensions_gated(table, srt, gate)
                 counters = (srt.rrs_prunes, srt.iip_prunes, srt.view_prunes)
@@ -459,8 +497,7 @@ def test_reduced_term_drops_a_child_the_raw_sum_keeps():
     a, b = db.items.id_of("a"), db.items.id_of("b")
     minutil = Threshold(5, 1)
     ult = build_ult(db, minutil=minutil)
-    srt = SequenceRecordTable()
-    srt.push_row(init_row(ult, a))
+    srt = top_table(ult, a)
     assert srt.rows[0].occurrences[0].bound == 12
     (child,) = [row for row in scan_extensions(ult, srt) if row.item == b]
     assert (child.rrs, child.occurrences[0].bound) == (13, 4)

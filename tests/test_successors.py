@@ -109,9 +109,9 @@ def test_rows_the_table_lets_through_are_unchanged(seed):
                 open_srt.pop_row()
                 srt.pop_row()
 
-    for item in ult.item_positions:
-        open_srt, srt = SequenceRecordTable(), SequenceRecordTable()
-        open_srt.push_row(init_row(open_ult, item))
-        srt.push_row(init_row(ult, item))
+    for item in SequenceRecordTable(ult).root:
+        open_srt, srt = SequenceRecordTable(open_ult), SequenceRecordTable(ult)
+        open_srt.push_row(init_row(open_srt, item))
+        srt.push_row(init_row(srt, item))
         assert row_facts(srt.rows[0]) == row_facts(open_srt.rows[0])
         check(open_srt, srt, 1)

@@ -4,17 +4,24 @@ import pytest
 
 from husrm.bounds import prune_unpromising, seu_per_item
 from husrm.model import Threshold, build_database
-from husrm.srt import init_row
+from husrm.srt import SeqOccurrences, SequenceRecordTable, init_row
 from husrm.ult import build_ult
 
-from conftest import make_random_db
+from conftest import make_random_db, top_table
 from reference import PositionRef, rru_at, rru_sum_per_item, ru_at
 
 
-def index_refs(ult, item):
-    """The item's (sid, 1-based pos) pairs, in index iteration order."""
-    by_sid = ult.item_positions.get(item, {})
-    return [(sid, k + 1) for sid, positions in by_sid.items() for k in positions]
+def holder_refs(srt, item):
+    """The item's (sid, 1-based pos) pairs, sids in root holder order."""
+    refs = []
+    for occ in srt.root.get(item, []):
+        items = srt.ult.seq_items[occ.sid]
+        refs += [(occ.sid, k + 1) for k, x in enumerate(items) if x == item]
+    return refs
+
+
+def top_rrs(ult, item):
+    return top_table(ult, item).rows[0].rrs
 
 
 def test_single_node_database():
@@ -26,8 +33,9 @@ def test_single_node_database():
     assert ult.seq_items == {sid: (x,)}
     assert ult.seq_utils == {sid: (7,)}
     assert ult.seq_rrus == {sid: (7,)}
-    assert ult.item_positions == {x: {sid: [0]}}
-    row = init_row(ult, x)
+    assert ult.roots == [SeqOccurrences(sid, [(0, 0)], range(1), 7)]
+    assert SequenceRecordTable(ult).root == {x: ult.roots}
+    row = top_table(ult, x).rows[0]
     assert (row.item, row.rrs) == (x, 7)
 
 
@@ -72,24 +80,32 @@ def test_ru_mode_stores_suffix_sums(seed):
 
 def test_occurrences_small_scope(small_db):
     ult = build_ult(small_db)
+    srt = SequenceRecordTable(ult)
     c = small_db.items.id_of("c")
-    assert ult.item_positions[c] == {1: [1, 2], 2: [1], 3: [1]}
-    assert index_refs(ult, c) == [(1, 2), (1, 3), (2, 2), (3, 2)]
+    assert [occ.sid for occ in srt.root[c]] == [1, 2, 3]
+    row = top_table(ult, c).rows[0]
+    assert [(occ.sid, occ.entries) for occ in row.occurrences] == [
+        (1, [(2, 2), (3, 3)]),
+        (2, [(2, 2)]),
+        (3, [(2, 2)]),
+    ]
+    assert holder_refs(srt, c) == [(1, 2), (1, 3), (2, 2), (3, 2)]
     f = small_db.items.id_of("f")
-    assert index_refs(ult, f) == [(3, 3)]
-    assert 999 not in ult.item_positions
+    assert holder_refs(srt, f) == [(3, 3)]
+    assert 999 not in srt.root
     with pytest.raises(KeyError):
-        init_row(ult, 999)
+        init_row(srt, 999)
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_occurrence_chains_partition_all_nodes(seed):
     db = make_random_db(seed)
     ult = build_ult(db)
+    srt = SequenceRecordTable(ult)
     seen = []
-    for item in ult.item_positions:
-        refs = index_refs(ult, item)
-        # index order matches a naive positional scan
+    for item in srt.root:
+        refs = holder_refs(srt, item)
+        # holder order matches a naive positional scan
         naive = [
             (seq.sid, k + 1)
             for seq in db.sequences
@@ -107,7 +123,7 @@ def test_occurrence_chains_partition_all_nodes(seed):
 def test_counts_and_header_order(sample_db):
     ult = build_ult(sample_db)
     assert len(ult) == sum(len(seq.events) for seq in sample_db.sequences)
-    assert list(ult.item_positions) == sample_db.distinct_items()
+    assert list(SequenceRecordTable(ult).root) == sample_db.distinct_items()
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -115,8 +131,8 @@ def test_header_sums_match_bounds_module(seed):
     db = make_random_db(seed)
     ult = build_ult(db)
     expected = rru_sum_per_item(db)
-    for item in ult.item_positions:
-        assert init_row(ult, item).rrs == expected[item]
+    for item in SequenceRecordTable(ult).root:
+        assert top_rrs(ult, item) == expected[item]
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -125,11 +141,11 @@ def test_header_bound_ordering(seed):
     db = make_random_db(seed)
     ult = build_ult(db)
     seu = seu_per_item(db)
-    for item in ult.item_positions:
+    for item in SequenceRecordTable(ult).root:
         best_single = max(
             ev.utility
             for seq in db.sequences
             for ev in seq.events
             if ev.item == item
         )
-        assert seu[item] >= init_row(ult, item).rrs >= best_single
+        assert seu[item] >= top_rrs(ult, item) >= best_single
