@@ -17,8 +17,10 @@ item pairs: eu(x, y) sums the per-sequence distinct-max utility over the
 sequences in which some x occurs before some y. A path's utility is at
 most eu(p, y) for every item p before y on it, so an item y with
 eu(p, y) < minutil for some path item p heads no subtree that emits a
-rule. It takes each sequence's term from the rru pass, as the bound of
-the sequence's root occurrence, rather than computing it again.
+rule. It takes the sequences holding each item from the path table's
+root (see srt), which groups them by item once, and each sequence's
+term from the rru pass, as the bound of its root occurrence, rather
+than computing either again.
 """
 
 from itertools import accumulate, compress
@@ -112,24 +114,24 @@ def rru_values(items: tuple[int, ...], utils: tuple[int, ...]) -> tuple[list[int
 
 
 def successor_sets(
-    seq_items: dict[int, tuple[int, ...]], roots: "list[SeqOccurrences]", minutil: Threshold
+    seq_items: dict[int, tuple[int, ...]],
+    holders: "dict[int, list[SeqOccurrences]]",
+    minutil: Threshold,
 ) -> dict[int, frozenset[int]]:
-    """EUCP successor table of the utility table: y in out[x] iff eu(x, y) >= minutil.
+    """EUCP successor table: y in out[x] iff eu(x, y) >= minutil.
 
-    A root's bound is its sequence's distinct-max utility, as rru_values
-    returns it. out[x] never holds x itself. At minutil 0 it holds
-    exactly the items that occur after some x in some sequence, so it
-    blocks nothing. The roots are grouped by the distinct items of their
-    sequences first; the table is then built one antecedent item at a
-    time, so only the surviving pairs are ever held at once.
+    holders maps each item x to the root occurrences of the sequences
+    holding it, as the path table's phase one over the roots groups
+    them; a root's bound is its sequence's distinct-max utility, as
+    rru_values returns it. out has holders' keys, in their order, and
+    out[x] never holds x itself. At minutil 0 it holds exactly the items
+    that occur after some x in some sequence, so it blocks nothing. The
+    table is built one antecedent item at a time, so only the surviving
+    pairs are ever held at once.
     """
     num, den = minutil.numerator, minutil.denominator
-    holding: dict[int, list[SeqOccurrences]] = {}
-    for root in roots:
-        for x in dict.fromkeys(seq_items[root.sid]):
-            holding.setdefault(x, []).append(root)
     out: dict[int, frozenset[int]] = {}
-    for x, held in holding.items():
+    for x, held in holders.items():
         eu: dict[int, int] = {}
         get = eu.get
         for root in held:

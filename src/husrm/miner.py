@@ -1,10 +1,11 @@
 """End-to-end mining: depth-first path growth with bound-based pruning
 and confidence-guided cut emission.
 
-The pipeline is: optional early item pruning, one utility-table build
-(with the EUCP successor sets at minutil, so every scan walks only the
-projected views of the path), one path table over it (whose root finds
-every item's sequences), then a depth-first walk over item prefixes.
+The pipeline is: optional early item pruning, one utility-table build,
+one path table over it (whose root finds every item's sequences, and
+from them the EUCP successor sets at minutil, so every scan walks only
+the projected views of the path), then a depth-first walk over item
+prefixes.
 Every path push emits all the rules that path can support in one pass:
 the path's support column is non-increasing, so a binary search finds
 the leftmost cut whose antecedent support clears the confidence bar, and
@@ -315,7 +316,7 @@ def _split(srt: SequenceRecordTable) -> dict[int, int]:
     the same items in the same process.
     """
     holders = srt.root
-    bin_of = {item: 0 for item in holders if srt.ult.successors[item]}
+    bin_of = {item: 0 for item in holders if srt.successors[item]}
     n = min(_usable_cpus(), len(bin_of))
     if n < 2 or threading.active_count() > 1 or len(srt.ult) < PARALLEL_MIN_EVENTS:
         return bin_of
@@ -460,7 +461,7 @@ def mine(db: SequenceDatabase, cfg: MiningConfig) -> tuple[list[Rule], MiningSta
     stats.sequences = len(db.sequences)
     stats.distinct_items = len(db.distinct_items())
     work = prune_unpromising(db, cfg.minutil) if cfg.use_seu_prune else db
-    srt = SequenceRecordTable(build_ult(work, use_rru=cfg.use_rru, minutil=cfg.minutil))
+    srt = SequenceRecordTable(build_ult(work, use_rru=cfg.use_rru), cfg.minutil)
     stats.items_after_pruning = len(srt.root)
     rules = _mine_bins(srt, _split(srt), cfg, stats)
     stats.rules = len(rules)

@@ -9,12 +9,16 @@ creating the row. Below row 1 sits the root, the empty prefix, whose
 occurrences view whole sequences (see ult). The scan's phases (below)
 build every row from its parent's occurrences, top-level rows from the
 root's: phase one once per table, phase two once per top-level item.
+Phase one over the root groups the sequences by item, and the table
+builds its EUCP successor sets at minutil from that grouping (see
+bounds.successor_sets): the items that may follow an item on a path
+that can still emit a rule. Built at minutil 0 they block nothing.
 
 Extension scanning walks each occurrence's projected view: the positions
 after its earliest end whose item is still in the path's candidate set
 C. C holds the items that may extend the path and still head a rule:
 C(x) = successors[x] for a length-1 path and C(P.y) = C(P) & successors[y]
-(the utility table's EUCP successor sets) less the items the share gate
+(the path table's successor sets) less the items the share gate
 drops at P (below), so no path item is ever in it. A running maximum
 over the best prefix utilities whose end positions lie strictly before
 the scan point gives, at each later position q, both the best
@@ -81,6 +85,7 @@ keeps the search's counters; the utility table it reads is immutable.
 from bisect import bisect_left
 from dataclasses import dataclass
 
+from .bounds import successor_sets
 from .model import InvariantError, Threshold
 from .ult import SeqOccurrences, UtilityTable
 
@@ -127,7 +132,11 @@ class SequenceRecordTable:
     The root is not on the path: it has no item and no prefix. The table
     runs phase one over ult.roots when it is built and keeps its result:
     each item's holders in root, in first-appearance order, and the
-    item's rrs and share in root_rrs and root_share.
+    item's rrs and share in root_rrs and root_share. From those holders
+    it builds successors, the EUCP successor sets at minutil, with the
+    same keys in the same order. The table does not keep minutil: the
+    scans take theirs, so rscp builds the sets at the real minutil and
+    scans at 0.
 
     prefixes[d] is the tuple of the path's first d + 1 items. Each push
     builds one from its parent's and each pop drops it, so a prefix
@@ -150,6 +159,7 @@ class SequenceRecordTable:
         "root",
         "root_rrs",
         "root_share",
+        "successors",
         "rows",
         "prefixes",
         "consequents",
@@ -160,7 +170,7 @@ class SequenceRecordTable:
         "view_prunes",
     )
 
-    def __init__(self, ult: UtilityTable) -> None:
+    def __init__(self, ult: UtilityTable, minutil: Threshold = Threshold(0, 1)) -> None:
         self.ult = ult
         self.rows: list[SrtRow] = []
         self.prefixes: list[tuple[int, ...]] = []
@@ -168,6 +178,7 @@ class SequenceRecordTable:
         self.scratch = scratch = _ScanScratch(ult.n_item_ids)
         self.root = _aggregate(ult, scratch, ult.roots)
         self.root_rrs, self.root_share = scratch.rrs[:], scratch.share[:]
+        self.successors = successor_sets(ult.seq_items, self.root, minutil)
         self.candidates = 0
         self.rrs_prunes = 0
         self.iip_prunes = 0
@@ -343,7 +354,7 @@ def _materialize(
     pruned = iip_pruned = view_pruned = 0
     num, den = minutil.numerator, minutil.denominator
     dead = {it for it in holders if share_of[it] * den < num}
-    successors = ult.successors
+    successors = srt.successors
     for it, parents in holders.items():
         rrs = rrs_of[it]
         if rrs * den < num:

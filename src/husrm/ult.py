@@ -15,10 +15,9 @@ every position, a range shared by the sequences of one length; its
 bound is the sequence's distinct-max utility, which the rru pass yields
 beside its column (in ru mode the pass runs for that term alone).
 
-successors[x] is the EUCP successor set of item x at the minutil the
-table was built for (see bounds.successor_sets): the items that may
-follow x on a path that can still emit a rule. Built at minutil 0 it
-blocks nothing.
+The table depends only on the database and on use_rru: no threshold
+goes into it. The EUCP successor sets, which do depend on minutil, are
+the path table's (see srt).
 
 The table is frozen: build_ult fills every column before constructing
 it.
@@ -26,8 +25,8 @@ it.
 
 from dataclasses import dataclass
 
-from .bounds import ru_values, rru_values, successor_sets
-from .model import SequenceDatabase, Threshold
+from .bounds import ru_values, rru_values
+from .model import SequenceDatabase
 
 
 @dataclass(slots=True)
@@ -55,7 +54,7 @@ class SeqOccurrences:
 
 @dataclass(frozen=True, slots=True)
 class UtilityTable:
-    """Per-sequence columns, the root occurrences and the successor sets.
+    """Per-sequence columns and the root occurrences.
 
     n_item_ids is the size of the item id space, which sizes the scan's
     per-item scratch arrays; len() is the number of events stored.
@@ -66,21 +65,17 @@ class UtilityTable:
     seq_utils: dict[int, tuple[int, ...]]
     seq_rrus: dict[int, tuple[int, ...]]
     roots: list[SeqOccurrences]
-    successors: dict[int, frozenset[int]]
 
     def __len__(self) -> int:
         return sum(map(len, self.seq_items.values()))
 
 
-def build_ult(
-    db: SequenceDatabase, *, use_rru: bool = True, minutil: Threshold = Threshold(0, 1)
-) -> UtilityTable:
-    """Build the table in one forward scan, then its successor sets at minutil.
+def build_ult(db: SequenceDatabase, *, use_rru: bool = True) -> UtilityTable:
+    """Build the table in one forward scan.
 
     The database should already have unpromising items removed when
     pruning is in effect. use_rru=False stores the raw suffix bound at
-    every position instead. The miner passes its minutil; at the default
-    0 the successor sets block nothing.
+    every position instead.
     """
     seq_items: dict[int, tuple[int, ...]] = {}
     seq_utils: dict[int, tuple[int, ...]] = {}
@@ -103,5 +98,4 @@ def build_ult(
         seq_utils=seq_utils,
         seq_rrus=seq_rrus,
         roots=roots,
-        successors=successor_sets(seq_items, roots, minutil),
     )

@@ -114,21 +114,23 @@ def bare_table() -> SequenceRecordTable:
     return SequenceRecordTable(build_ult(build_database([])))
 
 
-def top_table(ult, item) -> SequenceRecordTable:
-    """A path table over ult holding item's top-level row."""
-    srt = SequenceRecordTable(ult)
+def top_table(ult, item, minutil=Threshold(0, 1)) -> SequenceRecordTable:
+    """A path table over ult, with its successor sets at minutil, holding
+    item's top-level row."""
+    srt = SequenceRecordTable(ult, minutil)
     srt.push_row(init_row(srt, item))
     return srt
 
 
-def reference_top_row(ult, item) -> SrtRow:
-    """The length-1 row of item, by definition: one occurrence per
-    sequence holding the item, whose entries are the staircase of the
-    item's own utilities at 1-based ends, whose view is the positions
-    after the item's first whose item is one of its successors, and whose
-    bound is the best entry plus each distinct view item's largest
-    utility there; until_utility sums the bests, and rrs sums each
-    sequence's largest stored rru at the item."""
+def reference_top_row(srt, item) -> SrtRow:
+    """The length-1 row of item on the path table srt, by definition: one
+    occurrence per sequence holding the item, whose entries are the
+    staircase of the item's own utilities at 1-based ends, whose view is
+    the positions after the item's first whose item is one of its
+    successors in srt, and whose bound is the best entry plus each
+    distinct view item's largest utility there; until_utility sums the
+    bests, and rrs sums each sequence's largest stored rru at the item."""
+    ult, successors = srt.ult, srt.successors[item]
     occurrences = []
     until = rrs = 0
     for sid, items in ult.seq_items.items():
@@ -138,7 +140,7 @@ def reference_top_row(ult, item) -> SrtRow:
         utils = ult.seq_utils[sid]
         entries = staircase([(k + 1, utils[k]) for k in positions])
         view = tuple(
-            k for k in range(positions[0] + 1, len(items)) if items[k] in ult.successors[item]
+            k for k in range(positions[0] + 1, len(items)) if items[k] in successors
         )
         top: dict[int, int] = {}
         for k in view:

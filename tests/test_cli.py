@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from husrm import cli
@@ -402,6 +404,41 @@ def test_verify_cap_hit_exits_3(tmp_path, capsys):
     code = cli.main(["verify", str(path), "--minutil", "0", "--minconf", "0.5", "--max-len", "2"])
     assert code == 3
     assert "length cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change, counts",
+    [("drop", "0 extra, 1 missing"), ("alter", "1 extra, 1 missing")],
+)
+def test_verify_under_the_cap_fails_on_a_definite_difference(
+    tmp_path, capsys, monkeypatch, change, counts
+):
+    # The reference is complete up to --max-len items, so a missing rule,
+    # or a mined rule of at most that many items that it lacks, is a
+    # failure even though the enumeration hit its cap. The miner's longer
+    # rules are not counted.
+    path = tmp_path / "g.usdb"
+    gen = ["gen", "--sequences", "30", "--alphabet", "5", "--avg-len", "5",
+           "--max-len", "8", "--seed", "3", "--out", str(path)]
+    assert cli.main(gen) == 0
+    args = ["verify", str(path), "--delta", "0.1", "--max-len", "2"]
+    assert cli.main(args) == 3
+    capsys.readouterr()
+
+    def changed_mine(db, cfg):
+        rules, stats = real_mine(db, cfg)
+        k = next(k for k, r in enumerate(rules) if len(r.antecedent) + len(r.consequent) == 2)
+        if change == "drop":
+            return rules[:k] + rules[k + 1 :], stats
+        bumped = dataclasses.replace(rules[k], utility=rules[k].utility + 1)
+        return rules[:k] + [bumped] + rules[k + 1 :], stats
+
+    monkeypatch.setattr(cli, "mine", changed_mine)
+    assert cli.main(args) == 1
+    out = capsys.readouterr()
+    assert "only oracle:" in out.out
+    assert f"MISMATCH: {counts}" in out.err
+    assert "inconclusive" not in out.err
 
 
 def test_gen_is_deterministic(tmp_path):

@@ -62,9 +62,10 @@ def test_sample_rule_set(sample_db):
 def test_only_items_with_successors_get_a_row(db, delta, minconf, sample_db, monkeypatch):
     db = sample_db if db == "sample" else generate(db)
     cfg = MiningConfig(thr(delta).times(db.total_utility), thr(minconf))
-    ult = miner.build_ult(miner.prune_unpromising(db, cfg.minutil), minutil=cfg.minutil)
-    holders = miner.SequenceRecordTable(ult).root
-    grown = [item for item in holders if ult.successors[item]]
+    ult = miner.build_ult(miner.prune_unpromising(db, cfg.minutil))
+    srt = miner.SequenceRecordTable(ult, cfg.minutil)
+    holders = srt.root
+    grown = [item for item in holders if srt.successors[item]]
     assert 0 < len(grown) < len(holders)
     calls = []
     init_row = miner.init_row

@@ -21,7 +21,7 @@ def test_former_table_name_is_gone():
 
 # The search's steps are not root API; each stays importable from its module.
 INTERNALS = {
-    "bounds": ("prune_unpromising", "seu_per_item"),
+    "bounds": ("prune_unpromising", "seu_per_item", "successor_sets"),
     "miner": ("find_cut_start", "rule_produce", "srt_growth"),
     "model": ("Event", "compare_at_least", "confidence_at_least"),
     "oracle": ("max_embedding_utility", "support_of"),

@@ -139,8 +139,8 @@ def split_table():
     """FAILING_DB's table at delta 0.03, where 31 of its 40 items have successors."""
     db = generate(FAILING_DB)
     minutil = thr("0.03").times(db.total_utility)
-    srt = miner.SequenceRecordTable(miner.build_ult(db, minutil=minutil))
-    searched = [item for item in srt.root if srt.ult.successors[item]]
+    srt = miner.SequenceRecordTable(miner.build_ult(db), minutil)
+    searched = [item for item in srt.root if srt.successors[item]]
     assert 3 <= len(searched) < len(srt.root)
     return srt, searched
 
@@ -181,9 +181,10 @@ def test_one_searched_item_mines_without_a_fork(monkeypatch):
     # successors: a second bin would have no search to do.
     db = generate(GenParams(3000, 1000, 6.0, 40, 1, 10, 1.0, seed=1))
     cfg = MiningConfig(thr("0.1").times(db.total_utility), thr("0.1"))
-    ult = miner.build_ult(miner.prune_unpromising(db, cfg.minutil), minutil=cfg.minutil)
-    assert len(ult) >= miner.PARALLEL_MIN_EVENTS
-    assert sum(1 for item in miner.SequenceRecordTable(ult).root if ult.successors[item]) == 1
+    work = miner.prune_unpromising(db, cfg.minutil)
+    srt = miner.SequenceRecordTable(miner.build_ult(work), cfg.minutil)
+    assert len(srt.ult) >= miner.PARALLEL_MIN_EVENTS
+    assert sum(1 for item in srt.root if srt.successors[item]) == 1
     monkeypatch.setattr(miner, "_usable_cpus", lambda: 1)
     expected = mine(db, cfg)
     forks = []
@@ -205,7 +206,7 @@ def fail_in_bin(monkeypatch, db, cfg, force_bins, b, action):
     """Make init_row run action() on the first item of bin b (0: the caller's)."""
     force_bins(2)
     work = miner.prune_unpromising(db, cfg.minutil)
-    srt = miner.SequenceRecordTable(miner.build_ult(work, minutil=cfg.minutil))
+    srt = miner.SequenceRecordTable(miner.build_ult(work), cfg.minutil)
     bad = next(item for item, bin_ in miner._split(srt).items() if bin_ == b)
     init_row = miner.init_row
 

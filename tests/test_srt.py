@@ -292,9 +292,9 @@ def test_gated_scan_matches_ungated_at_every_bound(seed):
 
 
 def walk_all_prefixes(db, max_len=6, minutil=Threshold(0, 1)):
-    """Yield (prefix items, row) for every reachable path, ungated, on the
-    table built at minutil."""
-    ult = build_ult(db, minutil=minutil)
+    """Yield (prefix items, row) for every reachable path, ungated, on
+    path tables with their successor sets at minutil."""
+    ult = build_ult(db)
     out = []
 
     def grow(srt, prefix):
@@ -305,8 +305,8 @@ def walk_all_prefixes(db, max_len=6, minutil=Threshold(0, 1)):
                 grow(srt, prefix + (row.item,))
             srt.pop_row()
 
-    for item in SequenceRecordTable(ult).root:
-        srt = SequenceRecordTable(ult)
+    for item in SequenceRecordTable(ult, minutil).root:
+        srt = SequenceRecordTable(ult, minutil)
         row = init_row(srt, item)
         srt.push_row(row)
         out.append(((item,), row))
@@ -392,8 +392,8 @@ def test_entries_keep_the_earlier_end_on_a_tie():
     assert_entries_are_the_staircase(db, rows.items())
 
 
-# The sample and the random corpus, each with its table built at minutil 0
-# and at a tenth of its total utility.
+# The sample and the random corpus, each with its successor sets built at
+# minutil 0 and at a tenth of its total utility.
 CORPUS = [pytest.param(None, id="sample"), *range(25)]
 
 
@@ -405,10 +405,10 @@ def table_minutils(db):
     return (Threshold(0, 1), Threshold(db.total_utility, 10))
 
 
-def path_table(ult, rows, prefix):
-    """A fresh path table over ult holding the rows of prefix and of its
-    prefixes."""
-    srt = SequenceRecordTable(ult)
+def path_table(ult, minutil, rows, prefix):
+    """A fresh path table over ult, with its successor sets at minutil,
+    holding the rows of prefix and of its prefixes."""
+    srt = SequenceRecordTable(ult, minutil)
     for d in range(1, len(prefix) + 1):
         srt.push_row(rows[prefix[:d]])
     return srt
@@ -421,8 +421,8 @@ def path_table(ult, rows, prefix):
 def test_top_level_rows_match_their_definition(source, use_rru):
     # Every item's top-level row, built by phase two over the root, equals
     # the row built by definition in every field. The sample and the
-    # random corpus are checked on their tables at minutil 0 and at a
-    # tenth of their total, each workload on its table as mine builds it.
+    # random corpus are checked with successor sets at minutil 0 and at a
+    # tenth of their total, each workload on its tables as mine builds them.
     if source in WORKLOADS:
         db = workload_db(source)
         minutil = thr(WORKLOADS[source][1]).times(db.total_utility)
@@ -431,11 +431,10 @@ def test_top_level_rows_match_their_definition(source, use_rru):
         db = corpus_db(source)
         tables = [(db, minutil) for minutil in table_minutils(db)]
     for work, minutil in tables:
-        ult = build_ult(work, use_rru=use_rru, minutil=minutil)
-        srt = SequenceRecordTable(ult)
+        srt = SequenceRecordTable(build_ult(work, use_rru=use_rru), minutil)
         assert list(srt.root) == work.distinct_items()
         for item in srt.root:
-            assert init_row(srt, item) == reference_top_row(ult, item), item
+            assert init_row(srt, item) == reference_top_row(srt, item), item
 
 
 @pytest.mark.parametrize("seed", CORPUS)
@@ -446,15 +445,15 @@ def test_scans_need_no_item_index(seed):
     # threshold on both tables.
     db = corpus_db(seed)
     gate = table_minutils(db)[1]
+    ult = build_ult(db)
+    assert not hasattr(ult, "item_positions")
+    bare = dataclasses.replace(ult, roots=[])
     for minutil in table_minutils(db):
-        ult = build_ult(db, minutil=minutil)
-        assert not hasattr(ult, "item_positions")
-        bare = dataclasses.replace(ult, roots=[])
         rows = dict(walk_all_prefixes(db, minutil=minutil))
         for prefix in rows:
             results = []
             for table in (ult, bare):
-                srt = path_table(ult, rows, prefix)
+                srt = path_table(ult, minutil, rows, prefix)
                 if table is bare:
                     srt.ult = bare
                     srt.root = srt.root_rrs = srt.root_share = None
@@ -473,9 +472,9 @@ def test_views_match_their_definition(seed):
     db = corpus_db(seed)
     seqs = {seq.sid: seq for seq in db.sequences}
     for minutil in table_minutils(db):
-        ult = build_ult(db, minutil=minutil)
+        successors = SequenceRecordTable(build_ult(db), minutil).successors
         for prefix, row in walk_all_prefixes(db, minutil=minutil):
-            candidates = frozenset.intersection(*(ult.successors[p] for p in prefix))
+            candidates = frozenset.intersection(*(successors[p] for p in prefix))
             for occ in row.occurrences:
                 items = seqs[occ.sid].items
                 first = prefix_ends(seqs[occ.sid], prefix)[0][0]
@@ -496,8 +495,8 @@ def test_reduced_term_drops_a_child_the_raw_sum_keeps():
     db = build_database(REPEATS)
     a, b = db.items.id_of("a"), db.items.id_of("b")
     minutil = Threshold(5, 1)
-    ult = build_ult(db, minutil=minutil)
-    srt = top_table(ult, a)
+    ult = build_ult(db)
+    srt = top_table(ult, a, minutil)
     assert srt.rows[0].occurrences[0].bound == 12
     (child,) = [row for row in scan_extensions(ult, srt) if row.item == b]
     assert (child.rrs, child.occurrences[0].bound) == (13, 4)

@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from husrm.bounds import prune_unpromising, seu_per_item
 from husrm.model import Threshold, build_database
 from husrm.srt import SeqOccurrences, SequenceRecordTable, init_row
-from husrm.ult import build_ult
+from husrm.ult import UtilityTable, build_ult
 
 from conftest import make_random_db, top_table
 from reference import PositionRef, rru_at, rru_sum_per_item, ru_at
@@ -42,7 +43,14 @@ def test_single_node_database():
 def test_table_is_frozen(small_db):
     ult = build_ult(small_db)
     with pytest.raises(FrozenInstanceError):
-        ult.successors = {}
+        ult.roots = []
+
+
+def test_table_depends_on_no_threshold():
+    # The successor sets, the only thing that depended on minutil, are the
+    # path table's; the utility table is built from the database alone.
+    assert "minutil" not in inspect.signature(build_ult).parameters
+    assert "successors" not in UtilityTable.__slots__
 
 
 @pytest.mark.parametrize("seed", range(30))
