@@ -58,6 +58,13 @@ def _same_file(a: str | None, b: str | None) -> bool:
         return os.path.realpath(a) == os.path.realpath(b)
 
 
+def _refuse_input_overwrite(args, **outputs: str | None) -> None:
+    """Refuse an output flag whose path names the input file."""
+    for flag, path in outputs.items():
+        if _same_file(args.input, path):
+            raise ValueError(f"--{flag} names the input file: {path}")
+
+
 def _add_input_args(parser: ArgumentParser) -> None:
     parser.add_argument("input", help="path to the sequence database")
     parser.add_argument(
@@ -119,6 +126,7 @@ def _cmd_mine(args) -> int:
     cfg = MiningConfig(minutil, minconf)
     if _same_file(args.out, args.stats):
         raise ValueError(f"--out and --stats name the same file: {args.stats}")
+    _refuse_input_overwrite(args, out=args.out, stats=args.stats)
     stats_stream = nullcontext(sys.stderr) if args.stats is None else _out_stream(args.stats)
     with _out_stream(args.out) as out, stats_stream as stats_out:
         rules, stats = mine(db, cfg)
@@ -130,6 +138,7 @@ def _cmd_mine(args) -> int:
 def _cmd_oracle(args) -> int:
     db, minutil, minconf = _load_and_echo(args, max_len=args.max_len, out=args.out or "-")
     cfg = OracleConfig(minutil, minconf, args.max_len)
+    _refuse_input_overwrite(args, out=args.out)
     with _out_stream(args.out) as out:
         rules, cap_hit = oracle_mine(db, cfg)
         write_rules(rules, db.items, out)

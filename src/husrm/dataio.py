@@ -182,7 +182,9 @@ def load_database(path: str | Path, fmt: str = "auto") -> SequenceDatabase:
         try:
             raw.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ParseError(raw.count(b"\n", 0, exc.start) + 1, "not valid UTF-8") from None
+            head = raw[: exc.start]
+            ends = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+            raise ParseError(ends + 1, "not valid UTF-8") from None
         raise
 
 

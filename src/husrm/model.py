@@ -2,7 +2,8 @@
 
 A sequence database is an ordered list of sequences; each sequence is an
 ordered, non-empty run of (item, utility) events, stored once as two
-parallel tuples, items and utils, which every stage reads directly.
+parallel tuples, items and utils, which every stage reads directly;
+Sequence.events builds the Event pairs afresh on each read.
 Items are interned to dense integer ids in first-appearance order, so
 repeated loads of the same input always assign the same ids. Thresholds
 are exact non-negative rationals and every threshold decision is made by
@@ -101,31 +102,6 @@ class Event(NamedTuple):
     utility: int
 
 
-class EventView:
-    """Read-only view of one sequence's columns as Event pairs.
-
-    Built on demand by Sequence.events: its length costs nothing, and
-    each Event is made only when iterated or indexed.
-    """
-
-    __slots__ = ("_items", "_utils")
-
-    def __init__(self, items: tuple[int, ...], utils: tuple[int, ...]) -> None:
-        self._items = items
-        self._utils = utils
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self) -> Iterator[Event]:
-        return map(Event, self._items, self._utils)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(Event, self._items[index], self._utils[index]))
-        return Event(self._items[index], self._utils[index])
-
-
 @dataclass(slots=True)
 class Sequence:
     """One database row: an ordered, non-empty run of events. sid is 1-based.
@@ -142,8 +118,11 @@ class Sequence:
     utils: tuple[int, ...]
 
     @property
-    def events(self) -> EventView:
-        return EventView(self.items, self.utils)
+    def events(self) -> tuple[Event, ...]:
+        # A list first, so the tuple is made at its size: tuple(map(...))
+        # grows by resizing, which leaves heap holes when the events of
+        # many long sequences are read.
+        return tuple([*map(Event, self.items, self.utils)])
 
     def __len__(self) -> int:
         return len(self.items)

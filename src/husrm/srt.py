@@ -44,8 +44,9 @@ than its largest utility in the holder's view.
 
 The scan is the miner's hot path, so it runs in two phases. Phase one
 walks the views once and aggregates rrs and share per candidate item
-into reusable stamped arrays, folding an item's per-sequence rrs term
-into the totals when the item turns up in a later sequence. At an
+into reusable stamped arrays, keeping each item's largest rrs term in
+the occurrence being walked and raising the item's total whenever that
+maximum rises, so the totals are current at every position. At an
 item's first sighting in each occurrence it records the occurrence as
 one of the item's holders (the child's support is their count) and adds
 the occurrence's term to the item's share. Phase two rebuilds the
@@ -103,26 +104,26 @@ class SrtRow:
 class _ScanScratch:
     """Reusable per-item buffers, stamped so they never need clearing.
 
-    stamp counts the view walks so far: phase one's, one per occurrence
-    sequence, and phase two's, one per holder. seq_ep[it] is the stamp of
-    the last phase-one sequence in which item it was seen, and seq_bound
-    its rrs term within that sequence. rrs[it] sums the terms of the
-    earlier sequences, and share[it] the bounds of the occurrences whose
-    view holds it. The item's holders themselves are per scan. top_ep[it]
-    is the stamp of the last phase-two walk that kept item it in a child
-    view, and top[it] its largest utility in that walk so far.
+    stamp counts the view walks so far: phase one's, one per occurrence,
+    and phase two's, one per holder. seen[it] is the stamp of the last
+    walk in which item it was seen, and most[it] its largest value in
+    that walk: its largest rrs term in a phase-one occurrence, its
+    largest utility in a phase-two child view. Stamps only grow and a
+    scan's phase one ends before its phase two starts, so the phases
+    never read each other's values. rrs[it] sums the item's rrs terms
+    over the occurrences walked so far, and share[it] the bounds of the
+    occurrences whose view holds it. The item's holders themselves are
+    per scan.
     """
 
-    __slots__ = ("stamp", "seq_ep", "rrs", "share", "seq_bound", "top_ep", "top")
+    __slots__ = ("stamp", "seen", "most", "rrs", "share")
 
     def __init__(self, size: int) -> None:
         self.stamp = 0
-        self.seq_ep = [0] * size
+        self.seen = [0] * size
+        self.most = [0] * size
         self.rrs = [0] * size
         self.share = [0] * size
-        self.seq_bound = [0] * size
-        self.top_ep = [0] * size
-        self.top = [0] * size
 
 
 class SequenceRecordTable:
@@ -258,19 +259,17 @@ def _aggregate(
     Between two consecutive end positions the running best is constant,
     so the walk goes segment by segment; a 1-based entry position doubles
     as the 0-based index of the first position after it. An item's first
-    sighting in an occurrence records the occurrence as a holder and adds
-    its bound to the item's share.
+    sighting in an occurrence records the occurrence as a holder, adds
+    its bound to the item's share and its rrs term to the item's rrs; a
+    later position that raises the term adds the rise.
     """
-    seq_ep = scratch.seq_ep
+    seen = scratch.seen
+    most = scratch.most
     g_rrs = scratch.rrs
     g_share = scratch.share
-    s_bound = scratch.seq_bound
     seq_items = ult.seq_items
     seq_rrus = ult.seq_rrus
-    # Stamps only grow: an item stamped at or below base is new to this
-    # scan, one stamped between base and the current sequence's stamp
-    # still has that earlier sequence's rrs term to fold in.
-    base = stamp = scratch.stamp
+    stamp = scratch.stamp
     holders: dict[int, list[SeqOccurrences]] = {}
     for occ in occurrences:
         view = occ.view
@@ -292,28 +291,27 @@ def _aggregate(
             for k in view[lo:hi] if lo or hi < n else view:
                 it = items_s[k]
                 r = run + rrus_s[k]
-                seen = seq_ep[it]
-                if seen == stamp:
-                    if r > s_bound[it]:
-                        s_bound[it] = r
+                if seen[it] == stamp:
+                    if r > most[it]:
+                        g_rrs[it] += r - most[it]
+                        most[it] = r
                     continue
-                if seen > base:
-                    holders[it].append(occ)
-                    g_rrs[it] += s_bound[it]
-                    g_share[it] += occ_bound
-                else:
+                held = holders.get(it)
+                if held is None:
                     holders[it] = [occ]
-                    g_rrs[it] = 0
+                    g_rrs[it] = r
                     g_share[it] = occ_bound
-                seq_ep[it] = stamp
-                s_bound[it] = r
+                else:
+                    held.append(occ)
+                    g_rrs[it] += r
+                    g_share[it] += occ_bound
+                seen[it] = stamp
+                most[it] = r
             if hi == n:
                 break
             run = entries[ei][1]
             lo = hi
             ei += 1
-    for it in holders:
-        g_rrs[it] += s_bound[it]
     scratch.stamp = stamp
     return holders
 
@@ -345,8 +343,8 @@ def _materialize(
     room is negative.
     """
     scratch = srt.scratch
-    top_ep = scratch.top_ep
-    top = scratch.top
+    seen = scratch.seen
+    most = scratch.most
     stamp = scratch.stamp
     seq_items = ult.seq_items
     seq_utils = ult.seq_utils
@@ -396,13 +394,13 @@ def _materialize(
                 elif item in succ:
                     child.append(k)
                     u = utils_s[k]
-                    if top_ep[item] != stamp:
-                        top_ep[item] = stamp
-                        top[item] = u
+                    if seen[item] != stamp:
+                        seen[item] = stamp
+                        most[item] = u
                         bound += u
-                    elif u > top[item]:
-                        bound += u - top[item]
-                        top[item] = u
+                    elif u > most[item]:
+                        bound += u - most[item]
+                        most[item] = u
             until += best
             bound += best
             occ_rows.append(SeqOccurrences(sid, ents_out, tuple(child), bound))

@@ -1,4 +1,6 @@
 import dataclasses
+import os
+from pathlib import Path
 
 import pytest
 
@@ -291,6 +293,31 @@ def test_mine_rejects_one_file_for_rules_and_stats(sample_path, tmp_path, capsys
         assert path.read_text() == "kept\n"
     else:
         assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, spelling",
+    [
+        ("mine", "--out", "same"),
+        ("mine", "--stats", "same"),
+        ("oracle", "--out", "same"),
+        ("mine", "--out", "hard-link"),
+    ],
+)
+def test_an_output_naming_the_input_leaves_it_unchanged(
+    sample_path, tmp_path, capsys, command, flag, spelling
+):
+    before = Path(sample_path).read_bytes()
+    path = sample_path
+    if spelling == "hard-link":
+        path = str(tmp_path / "alias.usdb")
+        os.link(sample_path, path)
+    assert cli.main([command, sample_path, "--delta", "0.1", flag, path]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    lines = [line for line in out.err.splitlines() if not line.startswith("[config] ")]
+    assert lines == [f"error: {flag} names the input file: {path}"]
+    assert Path(sample_path).read_bytes() == before
 
 
 def test_mine_writes_rules_and_stats_to_stdout_together(sample_path, capsys):

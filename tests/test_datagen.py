@@ -1,9 +1,12 @@
+import hashlib
 import io
 
 import pytest
 
 from husrm.dataio import parse_native, write_native
 from husrm.datagen import GenParams, generate
+
+from conftest import WORKLOADS
 
 
 def serialize(db) -> str:
@@ -21,6 +24,22 @@ def test_empty_generation():
 def test_same_seed_same_bytes():
     params = GenParams(200, 40, 6.0, 25, 1, 9, 1.0, seed=7)
     assert serialize(generate(params)) == serialize(generate(params))
+
+
+# The native text of each benchmark workload's generated database: its
+# length in bytes and its sha256. A generator change that alters them
+# changes every workload's input.
+WORKLOAD_INPUTS = {
+    "search-sparse": (62291, "8773fab6ede16e290a61531af5e533f1e295e594e9fd6e05268ebe323173102a"),
+    "ingest-wide": (904413, "f819872dfe332e293fc4f08ad4967a1cc615d5a5aafe020fa7f5ab41daf2912b"),
+    "rule-flood": (19275, "cd64cd4cd3ec6f837adbb81b28e80593f1c770ad3d826db7e238578917fe9e2f"),
+}
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_workload_inputs_are_pinned(name):
+    data = serialize(generate(WORKLOADS[name][0])).encode("utf-8")
+    assert (len(data), hashlib.sha256(data).hexdigest()) == WORKLOAD_INPUTS[name]
 
 
 def test_different_seeds_differ():

@@ -182,6 +182,17 @@ def test_str_and_file_input_split_lines_alike(tmp_path, parse, suffix, text):
     assert from_str == load_database(path)
 
 
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+def test_a_bad_byte_is_reported_on_its_line_whatever_the_line_ends(tmp_path, end):
+    path = tmp_path / "db.usdb"
+    path.write_bytes(end.join([b"a:1", b"b:2", b"c:\xff3", b"d:4", b""]))
+    with pytest.raises(ParseError, match="^line 3: not valid UTF-8$"):
+        load_database(path)
+    path.write_bytes(end.join([b"a:1", b"b:2", b"c:x3", b"d:4", b""]))
+    with pytest.raises(ParseError, match="^line 3: "):
+        load_database(path)
+
+
 def test_write_native_rejects_a_sequence_that_would_read_as_a_comment():
     db = build_database([[("a", 1)], [("#a", 1), ("b", 2)]])
     with pytest.raises(ValueError, match="sequence 2 .*'#a'"):

@@ -482,6 +482,29 @@ def test_views_match_their_definition(seed):
                 assert occ.view == expected, (prefix, occ.sid)
 
 
+@pytest.mark.parametrize("seed", CORPUS)
+def test_rrs_matches_its_definition_everywhere(seed):
+    # Each reachable row of a path P·y has as rrs the sum, over the
+    # sequences holding the path, of the largest over y's positions q
+    # after P's first end of P's best utility over embeddings ending
+    # before q plus the rru at q. The empty P ends once, at 0, worth 0.
+    db = corpus_db(seed)
+    rrus = build_ult(db).seq_rrus
+    for minutil in table_minutils(db):
+        for path, row in walk_all_prefixes(db, minutil=minutil):
+            prefix, y = path[:-1], path[-1]
+            expected = 0
+            for seq in db.sequences:
+                ends = prefix_ends(seq, prefix) if prefix else [(0, 0)]
+                terms = [
+                    max(u for p, u in ends if p <= q) + rrus[seq.sid][q]
+                    for q, item in enumerate(seq.items)
+                    if item == y and ends and q >= ends[0][0]
+                ]
+                expected += max(terms, default=0)
+            assert row.rrs == expected, path
+
+
 # One sequence a:1 b:1 c:2 c:2 c:2 a:9. The path <a> keeps its ends 1
 # (utility 1) and 6 (9), and its view b c c c, so its term is 9 + 1 + 2:
 # c counts once, at its largest utility. The child <a, b> ends at 2 (2)
