@@ -1,4 +1,4 @@
-"""Reading and writing sequence databases, rules, and run statistics.
+r"""Reading and writing sequence databases, rules, and run statistics.
 
 Two input encodings are supported. The native encoding puts one sequence
 per line as whitespace-separated ``item:utility`` tokens, with ``#``
@@ -8,16 +8,16 @@ comment lines. The SPMF-style encoding puts one sequence per line as
 recomputed. Itemsets holding more than one item are rejected: events
 never happen simultaneously in this model.
 
-Files are read as UTF-8; a leading byte order mark is dropped, and bytes
-that are not UTF-8 are a parse error on the line that holds them. A line
-ends at ``\n``, ``\r\n`` or a bare ``\r``, whether the parsers are given
-a file or a string.
+A file is read and decoded as UTF-8 once; a leading byte order mark is
+dropped, and bytes that are not UTF-8 are a parse error on the line that
+holds them. One splitter, ``_lines``, ends lines for both parsers and for
+that report: a line ends at ``\n``, ``\r\n`` or a bare ``\r``, whether
+the text comes from a file, a stream or a string.
 
 Rule and statistics line formats are byte-exact contracts; golden tests
 pin them.
 """
 
-import io
 import re
 from pathlib import Path
 from typing import IO, Iterable, Iterator, TextIO
@@ -48,11 +48,16 @@ def _long_digits_value(digits: str) -> int:
     return int(digits or "0") if len(digits) <= 20 else U64_MAX + 1
 
 
-def _lines(stream: str | IO[str]) -> Iterable[str]:
-    if isinstance(stream, str):
-        # Split at \r, \n and \r\n, as files opened in text mode are.
-        return io.StringIO(stream, newline=None)
-    return stream
+def _lines(stream: str | IO[str]) -> list[str]:
+    r"""The lines of a string, or of all a stream reads, without their ends.
+
+    A line ends at ``\n``, ``\r\n`` or a bare ``\r`` and nowhere else:
+    not str.splitlines(), which also splits at ``\v``, ``\f``,
+    ``\x1c``-``\x1e``, ``\x85``, ``\u2028`` and ``\u2029``, all in-line
+    whitespace to the parsers.
+    """
+    text = stream if isinstance(stream, str) else stream.read()
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 @gc_paused()
@@ -158,6 +163,12 @@ def load_database(path: str | Path, fmt: str = "auto") -> SequenceDatabase:
 
     ``.usdb``/``.native`` parse as native; ``.spmf``/``.txt`` parse as
     SPMF. Anything else needs an explicit format.
+
+    The file is read and decoded once. A leading UTF-8 byte order mark is
+    cut from the bytes before they are decoded, so the offset of a byte
+    that is not UTF-8 indexes those bytes (the utf-8-sig codec counts it
+    from after the mark); the ParseError names the line, as _lines ends
+    lines, that holds the byte.
     """
     path = Path(path)
     if fmt == "auto":
@@ -172,20 +183,13 @@ def load_database(path: str | Path, fmt: str = "auto") -> SequenceDatabase:
             )
     if fmt not in ("native", "spmf"):
         raise ValueError(f"unknown format {fmt!r}")
+    raw = path.read_bytes().removeprefix(b"\xef\xbb\xbf")
     try:
-        with open(path, "r", encoding="utf-8-sig") as handle:
-            return parse_native(handle) if fmt == "native" else parse_spmf(handle)
-    except UnicodeDecodeError:
-        # The failing decoder saw one chunk; decode the whole file to find
-        # the line.
-        raw = path.read_bytes()
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            head = raw[: exc.start]
-            ends = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-            raise ParseError(ends + 1, "not valid UTF-8") from None
-        raise
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(_lines(raw[: exc.start].decode()))
+        raise ParseError(line, "not valid UTF-8") from None
+    return parse_native(text) if fmt == "native" else parse_spmf(text)
 
 
 def write_native(db: SequenceDatabase, stream: TextIO) -> None:

@@ -433,6 +433,22 @@ def test_verify_cap_hit_exits_3(tmp_path, capsys):
     assert "length cap" in capsys.readouterr().err
 
 
+def test_oracle_cap_hit_exits_3_and_writes_the_rules_under_the_cap(tmp_path, capsys):
+    path = tmp_path / "long.usdb"
+    path.write_text("a:1 b:1 c:1 d:1\n", encoding="utf-8")
+    out = tmp_path / "rules.txt"
+    args = ["oracle", str(path), "--minutil", "0", "--minconf", "0.5", "--max-len", "2"]
+    assert cli.main(args + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if not line.startswith("[config] ")] == [
+        "warning: length cap reached; rule set may be truncated"
+    ]
+    assert out.read_text(encoding="utf-8").splitlines() == [
+        f"{x} ==> {y} #UTIL: 2 #SUP: 1 #CONF: 1.0000"
+        for x, y in [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
+    ]
+
+
 @pytest.mark.parametrize(
     "change, counts",
     [("drop", "0 extra, 1 missing"), ("alter", "1 extra, 1 missing")],

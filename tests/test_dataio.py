@@ -139,6 +139,13 @@ def test_load_database_detects_format(tmp_path):
     assert load_database(weird, "native").total_utility == 1
 
 
+def test_load_database_rejects_an_unknown_format(tmp_path):
+    path = tmp_path / "db.usdb"
+    path.write_text("a:1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^unknown format 'bogus'$"):
+        load_database(path, "bogus")
+
+
 def test_native_round_trip_sample(sample_db):
     buf = io.StringIO()
     write_native(sample_db, buf)
@@ -182,13 +189,18 @@ def test_str_and_file_input_split_lines_alike(tmp_path, parse, suffix, text):
     assert from_str == load_database(path)
 
 
-@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
-def test_a_bad_byte_is_reported_on_its_line_whatever_the_line_ends(tmp_path, end):
+@pytest.mark.parametrize(
+    "bom, end",
+    [(bom, end) for bom in (b"", b"\xef\xbb\xbf") for end in (b"\n", b"\r\n", b"\r")],
+    ids=["LF", "CRLF", "CR", "BOM-LF", "BOM-CRLF", "BOM-CR"],
+)
+def test_a_bad_byte_is_reported_on_its_line_whatever_the_line_ends(tmp_path, bom, end):
+    # A leading BOM is not text: it must not shift the bad byte's line.
     path = tmp_path / "db.usdb"
-    path.write_bytes(end.join([b"a:1", b"b:2", b"c:\xff3", b"d:4", b""]))
+    path.write_bytes(bom + end.join([b"a:1", b"b:2", b"c:\xff3", b"d:4", b""]))
     with pytest.raises(ParseError, match="^line 3: not valid UTF-8$"):
         load_database(path)
-    path.write_bytes(end.join([b"a:1", b"b:2", b"c:x3", b"d:4", b""]))
+    path.write_bytes(bom + end.join([b"a:1", b"b:2", b"c:x3", b"d:4", b""]))
     with pytest.raises(ParseError, match="^line 3: "):
         load_database(path)
 

@@ -41,7 +41,7 @@ def sample_config(db):
 
 
 class RecordingLines(io.StringIO):
-    """A text stream that notes the collector's state at every line read."""
+    """A text stream that notes the collector's state at every read."""
 
     def __init__(self, text: str, seen: list[bool]) -> None:
         super().__init__(text)
@@ -50,6 +50,10 @@ class RecordingLines(io.StringIO):
     def __next__(self) -> str:
         self.seen.append(gc.isenabled())
         return super().__next__()
+
+    def read(self, size: int | None = -1) -> str:
+        self.seen.append(gc.isenabled())
+        return super().read(size)
 
 
 def test_gc_paused_restores_the_state_it_found(collector):

@@ -115,6 +115,21 @@ def test_threshold_times():
     assert Threshold(1, 10).times(64) == Threshold(64, 10)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Threshold(-1, 1), "negative threshold"),
+        (lambda: Threshold(1, 0), "threshold denominator must be positive"),
+        (lambda: Threshold(1, 1).times(-1), "negative scale factor"),
+        (lambda: Rule((0,), (1,), -1, 1, 1), "negative utility"),
+    ],
+    ids=["negative-threshold", "zero-denominator", "negative-factor", "negative-utility"],
+)
+def test_out_of_range_values_are_rejected(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 def test_compare_at_least_examples():
     assert compare_at_least(13, Threshold(64, 10)) is True
     assert compare_at_least(0, Threshold(0, 1)) is True

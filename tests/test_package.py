@@ -1,8 +1,12 @@
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
 import husrm
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_export_resolves_once():
@@ -36,3 +40,14 @@ def test_search_internals_live_in_their_modules_only(module):
     assert [name for name in names if hasattr(husrm, name)] == []
     loaded = importlib.import_module(f"husrm.{module}")
     assert [name for name in names if not hasattr(loaded, name)] == []
+
+
+def test_interpreter_floor_is_the_version_ci_runs():
+    # The CLI calls sys.get_int_max_str_digits(), which CPython has from
+    # 3.10.7 on; the floor names the version the tier-1 workflow tests.
+    # Both files are read as text: PyYAML is not a test dependency.
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    floor = re.findall(r'^requires-python = ">=([0-9.]+)"$', pyproject, re.M)
+    tested = re.findall(r'^\s*python-version: "([0-9.]+)"$', workflow, re.M)
+    assert len(floor) == 1 and set(tested) == set(floor)

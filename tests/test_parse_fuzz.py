@@ -66,7 +66,7 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(
     texts,
     st.lists(st.binary(min_size=1, max_size=2), max_size=2),
@@ -81,7 +81,7 @@ def test_load_database_parses_or_rejects_any_bytes(fuzz_dir, text, junk, suffix)
     parses_or_rejects(load_database, path)
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(texts, st.sampled_from([".usdb", ".spmf"]))
 def test_leading_bom_is_dropped(fuzz_dir, text, suffix):
     # Strip every leading BOM: the decoder drops only one, so a text that
@@ -101,7 +101,7 @@ def test_leading_bom_is_dropped(fuzz_dir, text, suffix):
     assert load_database(marked) == expected
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(texts, st.sampled_from([(parse_native, ".usdb"), (parse_spmf, ".spmf")]))
 @example("a:1\rb:2\n", (parse_native, ".usdb"))
 @example("a[1] -1 -2\rb[2] -1 -2\n", (parse_spmf, ".spmf"))

@@ -252,6 +252,13 @@ def test_a_failing_bin_raises_its_own_exception(b, exc, collector, force_bins, m
     assert gc.isenabled() is collector
 
 
+class TwoArgs(Exception):
+    """An exception that pickles but cannot be rebuilt from its args."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}/{b}")
+
+
 def test_a_worker_killed_by_a_signal_raises_worker_error(collector, force_bins, monkeypatch):
     db = generate(FAILING_DB)
     cfg = MiningConfig(thr("0.01").times(db.total_utility), thr("0.6"))
@@ -260,6 +267,19 @@ def test_a_worker_killed_by_a_signal_raises_worker_error(collector, force_bins, 
         mine(db, cfg)
     assert_no_worker_left()
     assert gc.isenabled() is collector
+    # A worker that leaves no report, and one whose exception the caller
+    # cannot unpickle, fail as WorkerError too: its exit status, or the
+    # exception's text.
+    for action, message in [
+        (lambda: os._exit(3), "mining worker exited with status 3"),
+        (raiser(TwoArgs(1, 2)), "TwoArgs: 1/2"),
+    ]:
+        monkeypatch.undo()
+        fail_in_bin(monkeypatch, db, cfg, force_bins, 1, action)
+        with pytest.raises(WorkerError, match=f"^{message}$"):
+            mine(db, cfg)
+        assert_no_worker_left()
+        assert gc.isenabled() is collector
 
 
 @pytest.mark.parametrize(
